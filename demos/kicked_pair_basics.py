@@ -14,7 +14,6 @@ import numpy as np
 
 from kickedqubit import (
     DeltaKick,
-    KickSpec,
     Representation,
     Schedule,
     apply,
@@ -32,7 +31,7 @@ delta_e = 1.0  # level splitting (dimensionless, hbar = 1)
 # P2 after a single kick from the ground state is sin(alpha)^2, independent
 # of when the kick happens.
 for alpha in (0.3, math.pi / 4, math.pi / 2):
-    u = single_kick(delta_e, KickSpec(alpha, t_k=2.0))
+    u = single_kick(delta_e, DeltaKick(alpha, t_k=2.0))
     p1, p2 = probabilities(apply(u, np.array([1.0, 0.0])))
     print(f"single kick alpha={alpha:5.3f}:  P2 = {p2:.6f}  (sin^2 = {math.sin(alpha)**2:.6f})")
 
@@ -40,7 +39,7 @@ for alpha in (0.3, math.pi / 4, math.pi / 2):
 # Later kicks act on the left. Two pi/2 kicks separated by half a Rabi
 # period undo each other: the population returns to the first level.
 t1, t2 = 1.0, 1.0 + math.pi / delta_e
-seq = kick_sequence(delta_e, [KickSpec(math.pi / 2, t1), KickSpec(math.pi / 2, t2)])
+seq = kick_sequence(delta_e, [DeltaKick(math.pi / 2, t1), DeltaKick(math.pi / 2, t2)])
 print(f"\ntwo pi/2 kicks, dE*(t2-t1) = pi:  P1 = {abs(seq[0, 0])**2:.12f}")
 
 # --- the +/- pair and time ordering ----------------------------------------

@@ -27,7 +27,6 @@ from .perturbation import (
     theta_split_weights,
 )
 from .propagators import (
-    KickSpec,
     change_representation,
     free_propagator,
     kick_sequence,

@@ -41,12 +41,12 @@ from .diagnostics import (
     observation_time_scan,
     ordering_difference_surface,
 )
-from .ode import IntegratorConfig, default_step, evolve
+from .ode import IntegratorConfig, default_step, evolve, propagate
 from .perturbation import dyson_second_order
-from .propagators import nto_propagator, schedule_kick_propagator
+from .propagators import nto_propagator
 from .pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
 from .su2 import PauliAxis
-from .units import UnitTag, convert_delta_e, preset_2s2p
+from .units import DELTA_E_2S2P_EV, T_K_2S2P_PS, UnitTag, convert_delta_e, delta_e_from_ev, preset_2s2p
 
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
@@ -146,16 +146,16 @@ def _float_list(value, key: str) -> list[float]:
     return [_as_float(p, key) for p in parts]
 
 
-def build_schedule(args, opts) -> Schedule:
+def _is_preset(args, opts) -> bool:
+    """True when the 2s-2p preset is selected; any other preset name is an error."""
     preset = _merged(args, opts, "preset")
-    if preset is not None:
-        if preset != "2s2p":
-            raise ConfigError(f"unknown preset {preset!r}")
-        tau = _as_float(_merged(args, opts, "tau", 9.46), "tau")
-        alpha = _as_float(_merged(args, opts, "alpha", math.pi / 2), "alpha")
-        tf = _merged(args, opts, "tf")
-        return preset_2s2p(tau, alpha, None if tf is None else _as_float(tf, "tf"))
+    if preset is not None and preset != "2s2p":
+        raise ConfigError(f"unknown preset {preset!r}")
+    return preset is not None
 
+
+def _delta_e(args, opts) -> float:
+    """The splitting from delta-e in the given unit, converted to internal units."""
     delta_e = _merged(args, opts, "delta-e")
     if delta_e is None:
         raise ConfigError("delta-e is required (or use --preset 2s2p)")
@@ -164,7 +164,17 @@ def build_schedule(args, opts) -> Schedule:
         unit_tag = UnitTag(str(unit))
     except ValueError:
         raise ConfigError(f"unknown unit {unit!r}; expected dimensionless or ev_ps") from None
-    delta_e = convert_delta_e(_as_float(delta_e, "delta-e"), unit_tag)
+    return convert_delta_e(_as_float(delta_e, "delta-e"), unit_tag)
+
+
+def build_schedule(args, opts) -> Schedule:
+    if _is_preset(args, opts):
+        tau = _as_float(_merged(args, opts, "tau", 9.46), "tau")
+        alpha = _as_float(_merged(args, opts, "alpha", math.pi / 2), "alpha")
+        tf = _merged(args, opts, "tf")
+        return preset_2s2p(tau, alpha, None if tf is None else _as_float(tf, "tf"))
+
+    delta_e = _delta_e(args, opts)
     t0 = _as_float(_merged(args, opts, "t0", 0.0), "t0")
     tf = _as_float(_merged(args, opts, "tf", 1.0), "tf")
     pulses = _merged(args, opts, "pulses", "")
@@ -235,9 +245,10 @@ def write_json(path: str, obj: dict) -> None:
 # ----------------------------------------------------------------- commands
 
 
-def _resolved_comment(args, opts, keys: list[str]) -> dict:
+def _resolved_comment(args, opts) -> dict:
+    """The command name and every echoed flag that was set, for the CSV header."""
     out = {"command": args.command}
-    for key in keys:
+    for key in COMMANDS[args.command][1]:
         value = _merged(args, opts, key)
         if value is not None:
             out[key] = value
@@ -260,9 +271,7 @@ def cmd_evolve(args, opts) -> None:
     traj = evolve(s, cfg, np.array([1.0, 0.0], dtype=complex))
     probs = traj.probabilities()
     rows = [(float(t), float(p[0]), float(p[1])) for t, p in zip(traj.times, probs)]
-    comments = _resolved_comment(
-        args, opts, ["preset", "delta-e", "unit", "t0", "tf", "pulses", "tau", "alpha"]
-    )
+    comments = _resolved_comment(args, opts)
     comments["dt"] = _fmt(dt)
     comments["representation"] = rep.value
     write_table(args, opts, ["t", "p1", "p2"], rows, comments)
@@ -276,7 +285,7 @@ def cmd_sweep_surface(args, opts) -> None:
     phi_grid = phi_default if phi is None else _float_list(phi, "phi-grid")
     points = ordering_difference_surface(eps_grid, phi_grid)
     rows = [(p.epsilon, p.phi, p.p2_ordered, p.p2_nto, p.difference) for p in points]
-    comments = _resolved_comment(args, opts, [])
+    comments = _resolved_comment(args, opts)
     comments["eps-points"] = len(eps_grid)
     comments["phi-points"] = len(phi_grid)
     write_table(args, opts, ["epsilon", "phi", "p2_ordered", "p2_nto", "difference"], rows, comments)
@@ -284,17 +293,8 @@ def cmd_sweep_surface(args, opts) -> None:
 
 def cmd_compare_nto(args, opts) -> None:
     s = build_schedule(args, opts)
-    if s.has_kicks() and s.smooth_pulses():
-        raise ValueError("compare-nto supports all-kick or all-smooth schedules, not mixed")
-    if s.has_kicks() or not s.pulses:
-        u = schedule_kick_propagator(s)
-        p2 = float(abs(u[1, 0]) ** 2)
-    else:
-        cfg = IntegratorConfig(default_step(s), Representation.INTERACTION, 10**6)
-        traj = evolve(s, cfg, np.array([1.0, 0.0], dtype=complex))
-        p2 = float(abs(traj.states[-1][1]) ** 2)
     result = {
-        "p2_ordered": p2,
+        "p2_ordered": float(abs(propagate(s)[1, 0]) ** 2),
         "p2_nto_interaction": float(abs(nto_propagator(s, Representation.INTERACTION)[1, 0]) ** 2),
         "p2_nto_schrodinger": float(abs(nto_propagator(s, Representation.SCHRODINGER)[1, 0]) ** 2),
     }
@@ -333,7 +333,7 @@ def cmd_kick_limit(args, opts) -> None:
     s_params = _preset_or_fields(args, opts)
     taus = _float_list(_merged(args, opts, "taus", _default_tau_ladder(s_params[0])), "taus")
     rows = kick_limit_scan(s_params[0], s_params[1], s_params[2], taus)
-    comments = _resolved_comment(args, opts, ["preset", "delta-e", "unit", "alpha", "t-k"])
+    comments = _resolved_comment(args, opts)
     write_table(args, opts, list(KickLimitRow._fields), rows, comments)
 
 
@@ -348,7 +348,7 @@ def cmd_obs_time(args, opts) -> None:
     else:
         grid_values = _float_list(grid, "tf-grid")
     rows = observation_time_scan(delta_e, alpha, t_k, tau, grid_values)
-    comments = _resolved_comment(args, opts, ["preset", "delta-e", "unit", "alpha", "t-k", "tau"])
+    comments = _resolved_comment(args, opts)
     write_table(args, opts, list(ObservationRow._fields), rows, comments)
 
 
@@ -359,58 +359,38 @@ def _default_tau_ladder(delta_e: float) -> str:
 
 def _preset_or_fields(args, opts) -> tuple[float, float, float]:
     """(delta_e, alpha, t_k) from the preset or explicit fields."""
-    preset = _merged(args, opts, "preset")
-    if preset is not None:
-        if preset != "2s2p":
-            raise ConfigError(f"unknown preset {preset!r}")
-        base = preset_2s2p(1.0)
-        alpha = _as_float(_merged(args, opts, "alpha", math.pi / 2), "alpha")
-        return base.delta_e, alpha, base.pulses[0].t_k
-    delta_e = _merged(args, opts, "delta-e")
-    if delta_e is None:
-        raise ConfigError("delta-e is required (or use --preset 2s2p)")
-    unit = _merged(args, opts, "unit", "dimensionless")
-    try:
-        unit_tag = UnitTag(str(unit))
-    except ValueError:
-        raise ConfigError(f"unknown unit {unit!r}") from None
-    delta_e = convert_delta_e(_as_float(delta_e, "delta-e"), unit_tag)
+    preset = _is_preset(args, opts)
+    delta_e = delta_e_from_ev(DELTA_E_2S2P_EV) if preset else _delta_e(args, opts)
     alpha = _as_float(_merged(args, opts, "alpha", math.pi / 2), "alpha")
-    t_k = _as_float(_merged(args, opts, "t-k", 0.0), "t-k")
+    t_k = T_K_2S2P_PS if preset else _as_float(_merged(args, opts, "t-k", 0.0), "t-k")
     return delta_e, alpha, t_k
 
 
-HANDLERS = {
-    "evolve": cmd_evolve,
-    "sweep-surface": cmd_sweep_surface,
-    "compare-nto": cmd_compare_nto,
-    "map-classify": cmd_map_classify,
-    "pert2": cmd_pert2,
-    "kick-limit": cmd_kick_limit,
-    "obs-time": cmd_obs_time,
+SCHEDULE_FLAGS = ["preset", "delta-e", "unit", "t0", "tf", "pulses", "tau", "alpha"]
+PULSE_FLAGS = ["preset", "delta-e", "unit", "alpha", "t-k"]
+
+# name: (handler, echoed flags, other flags). Echoed flags are the problem
+# inputs a CSV table repeats in its '#' header; every flag is also a config key.
+COMMANDS = {
+    "evolve": (cmd_evolve, SCHEDULE_FLAGS, ["dt", "representation", "record-every", "format"]),
+    "sweep-surface": (cmd_sweep_surface, [], ["eps-grid", "phi-grid", "format"]),
+    "compare-nto": (cmd_compare_nto, SCHEDULE_FLAGS, []),
+    "map-classify": (cmd_map_classify, [], ["split-phase", "strength-phase"]),
+    "pert2": (cmd_pert2, SCHEDULE_FLAGS, []),
+    "kick-limit": (cmd_kick_limit, PULSE_FLAGS, ["taus", "format"]),
+    "obs-time": (cmd_obs_time, PULSE_FLAGS + ["tau"], ["tf-grid", "tf-count", "format"]),
 }
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kickedqubit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, flags: list[str]):
+    for name, (_, echoed, other) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key = value config file")
         p.add_argument("--output", "-o", default="-", help="output path ('-' for stdout)")
-        for flag in flags:
+        for flag in echoed + other:
             p.add_argument(f"--{flag}", default=None)
-        return p
-
-    schedule_flags = ["preset", "delta-e", "unit", "t0", "tf", "pulses", "tau", "alpha"]
-    add("evolve", schedule_flags + ["dt", "representation", "record-every", "format"])
-    add("sweep-surface", ["eps-grid", "phi-grid", "format"])
-    add("compare-nto", schedule_flags)
-    add("map-classify", ["split-phase", "strength-phase"])
-    add("pert2", schedule_flags)
-    add("kick-limit", ["preset", "delta-e", "unit", "alpha", "t-k", "taus", "format"])
-    add("obs-time", ["preset", "delta-e", "unit", "alpha", "t-k", "tau", "tf-grid", "tf-count", "format"])
     return parser
 
 
@@ -424,7 +404,7 @@ def main(argv: list[str] | None = None) -> int:
             file_opts = sections.get(args.command, {})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            HANDLERS[args.command](args, file_opts)
+            COMMANDS[args.command][0](args, file_opts)
     except ConfigError as exc:
         print(f"kickedqubit: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ode import IntegratorConfig, default_step, evolve, probabilities_final
+from .ode import evolve_nto_reference, propagate
 from .propagators import nto_propagator
 from .pulses import Gaussian, Representation, Schedule, pulse_support
 from .su2 import PauliAxis
@@ -138,9 +138,6 @@ class ObservationRow(NamedTuple):
     p2_nto_interaction: float
 
 
-GROUND = np.array([1.0, 0.0], dtype=complex)
-
-
 def _gaussian_schedule(delta_e, alpha, t_k, tau, tf) -> Schedule:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # wide pulses may overhang t0 = 0
@@ -165,18 +162,14 @@ def kick_limit_scan(
     rows = []
     for tau in taus:
         s = _gaussian_schedule(delta_e, alpha, t_k, tau, t_k + 8.0 * tau)
-        cfg = IntegratorConfig(default_step(s), Representation.INTERACTION, record_every=10**6)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            traj = evolve(s, cfg, GROUND)
-            rows.append(
-                KickLimitRow(
-                    tau,
-                    probabilities_final(traj)[1],
-                    float(abs(nto_propagator(s, Representation.INTERACTION)[1, 0]) ** 2),
-                    float(abs(nto_propagator(s, Representation.SCHRODINGER)[1, 0]) ** 2),
-                )
+        rows.append(
+            KickLimitRow(
+                tau,
+                float(abs(propagate(s)[1, 0]) ** 2),
+                float(abs(nto_propagator(s, Representation.INTERACTION)[1, 0]) ** 2),
+                float(abs(nto_propagator(s, Representation.SCHRODINGER)[1, 0]) ** 2),
             )
+        )
     return rows
 
 
@@ -192,9 +185,10 @@ def observation_time_scan(
     The ordered (rotating-frame) propagator is constant once the pulse
     support has passed, so a single integration to the end of the support
     serves every later grid point; observation times inside the pulse are
-    integrated individually. The NTO columns use the window-truncated mean
-    coupling, which damps in the Schrodinger picture as the average field
-    shrinks against the splitting, but settles to a constant in the
+    integrated individually. The NTO columns come from
+    :func:`~kickedqubit.ode.evolve_nto_reference` on the window-truncated
+    mean coupling, which damps in the Schrodinger picture as the average
+    field shrinks against the splitting, but settles to a constant in the
     interaction picture.
     """
     tf_grid = [float(t) for t in tf_grid]
@@ -202,34 +196,21 @@ def observation_time_scan(
         raise ValueError("observation-time grid must be strictly ascending")
     if any(t <= t_k for t in tf_grid):
         raise ValueError("observation times must lie beyond the pulse center t_k")
+    if not tf_grid:
+        return []
 
     support_end = pulse_support(Gaussian(alpha, t_k, tau, PauliAxis.X))[1]
-    plateau: float | None = None
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for tf in tf_grid:
-            if tf >= support_end:
-                if plateau is None:
-                    s = _gaussian_schedule(delta_e, alpha, t_k, tau, support_end)
-                    cfg = IntegratorConfig(
-                        default_step(s), Representation.INTERACTION, record_every=10**6
-                    )
-                    plateau = probabilities_final(evolve(s, cfg, GROUND))[1]
-                ordered = plateau
-            else:
-                s = _gaussian_schedule(delta_e, alpha, t_k, tau, tf)
-                cfg = IntegratorConfig(
-                    default_step(s), Representation.INTERACTION, record_every=10**6
-                )
-                ordered = probabilities_final(evolve(s, cfg, GROUND))[1]
-            window = _gaussian_schedule(delta_e, alpha, t_k, tau, tf)
-            rows.append(
-                ObservationRow(
-                    tf,
-                    ordered,
-                    float(abs(nto_propagator(window, Representation.SCHRODINGER)[1, 0]) ** 2),
-                    float(abs(nto_propagator(window, Representation.INTERACTION)[1, 0]) ** 2),
-                )
-            )
-    return rows
+    ends = [min(tf, support_end) for tf in tf_grid]
+    ordered = {}
+    for end in ends:
+        if end not in ordered:
+            s = _gaussian_schedule(delta_e, alpha, t_k, tau, end)
+            ordered[end] = float(abs(propagate(s)[1, 0]) ** 2)
+    # No window above is longer than this one, so it is valid too.
+    window = _gaussian_schedule(delta_e, alpha, t_k, tau, tf_grid[-1])
+    schrodinger = evolve_nto_reference(window, Representation.SCHRODINGER, tf_grid)
+    interaction = evolve_nto_reference(window, Representation.INTERACTION, tf_grid)
+    return [
+        ObservationRow(tf, ordered[end], p2_s, p2_i)
+        for tf, end, (_, p2_s), (_, p2_i) in zip(tf_grid, ends, schrodinger, interaction)
+    ]

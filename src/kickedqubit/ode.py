@@ -9,8 +9,9 @@ or in the interaction picture, i da/dt = V_I(t) a, with V_I the rotated
 coupling. The step is fixed (no adaptivity) so repeated runs are
 bit-reproducible; convergence is checked by step halving.
 
-Delta kicks have no pointwise field and are rejected here; use the closed
-forms in :mod:`kickedqubit.propagators` for kicked schedules.
+Delta kicks have no pointwise field, so :func:`evolve` rejects them;
+:func:`propagate` sends all-kick schedules to the closed forms in
+:mod:`kickedqubit.propagators` and smooth ones to :func:`evolve`.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagators import nto_propagator
+from .propagators import nto_propagator, schedule_kick_propagator
 from .pulses import Gaussian, Rectangular, Representation, Schedule, interaction_potential, schrodinger_hamiltonian
 from .su2 import TOL_NORM, norm_defect
 
@@ -122,6 +123,20 @@ def evolve(s: Schedule, cfg: IntegratorConfig, initial: np.ndarray) -> Trajector
 
     states = np.array([p @ initial for p in propagators])
     return Trajectory(np.array(times), states, u)
+
+
+def propagate(s: Schedule) -> np.ndarray:
+    """Time-ordered rotating-frame propagator of ``s`` over [t0, tf].
+
+    All-kick and empty schedules use the closed-form kick product, smooth ones
+    RK4 in the interaction picture at :func:`default_step`; mixed ones raise.
+    """
+    if not s.smooth_pulses():
+        return schedule_kick_propagator(s)
+    if s.has_kicks():
+        raise ValueError("mixed kick and smooth schedules are not supported")
+    cfg = IntegratorConfig(default_step(s), Representation.INTERACTION, record_every=10**6)
+    return evolve(s, cfg, np.array([1.0, 0.0], dtype=complex)).final_propagator
 
 
 def evolve_nto_reference(

@@ -11,12 +11,14 @@ the exact ordered product and the closed no-time-ordering (NTO) exponential
 of the mean coupling are available in closed form; their off-diagonal phase
 is exp(-i dE (t1 + t2) / 2), the value obtained by composing single-kick
 factors (and by direct integration of the mean coupling).
+
+Kicks are :class:`~kickedqubit.pulses.DeltaKick` values; only the x and y
+axes couple the two levels, so a z-axis kick is rejected here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,22 +26,7 @@ from .pulses import DeltaKick, Representation, Schedule, rotated_axis_matrix, ti
 from .su2 import ID2, SIGMA_Z, PauliAxis, exp_minus_i_generator
 
 
-@dataclass(frozen=True)
-class KickSpec:
-    """One delta kick: strength ``alpha`` (radians), time ``t_k``, axis x or y."""
-
-    alpha: float
-    t_k: float
-    axis: PauliAxis = PauliAxis.X
-
-    def __post_init__(self):
-        if self.axis is PauliAxis.Z:
-            raise ValueError("kicks couple through sigma_x or sigma_y only")
-        if not (math.isfinite(self.alpha) and math.isfinite(self.t_k)):
-            raise ValueError("kick strength and time must be finite")
-
-
-def single_kick(delta_e: float, kick: KickSpec) -> np.ndarray:
+def single_kick(delta_e: float, kick: DeltaKick) -> np.ndarray:
     """Propagator of one kick: cos(a) I - i sin(a) * (rotated axis matrix).
 
     Exact because the rotated axis matrix squares to the identity.
@@ -50,7 +37,7 @@ def single_kick(delta_e: float, kick: KickSpec) -> np.ndarray:
     return math.cos(kick.alpha) * ID2 - 1j * math.sin(kick.alpha) * r
 
 
-def kick_sequence(delta_e: float, kicks: list[KickSpec] | tuple[KickSpec, ...]) -> np.ndarray:
+def kick_sequence(delta_e: float, kicks: list[DeltaKick] | tuple[DeltaKick, ...]) -> np.ndarray:
     """Ordered product of single-kick propagators, later kicks applied last.
 
     ``kicks`` must be sorted by time ascending (ties allowed); the sequence
@@ -69,6 +56,8 @@ def kick_sequence(delta_e: float, kicks: list[KickSpec] | tuple[KickSpec, ...]) 
         generator = np.zeros((2, 2), dtype=complex)
         while j < len(kicks) and kicks[j].t_k == kicks[i].t_k:
             k = kicks[j]
+            if k.axis is PauliAxis.Z:
+                raise ValueError("kicks couple through sigma_x or sigma_y only")
             generator = generator + k.alpha * rotated_axis_matrix(delta_e, k.t_k, k.axis)
             j += 1
         u = exp_minus_i_generator(generator) @ u
@@ -108,26 +97,15 @@ def opposite_kick_pair(delta_e: float, alpha: float, t1: float, t2: float) -> np
     return ordered_pair_matrix(delta_e, alpha, t2 - t1, t1 + t2)
 
 
-def nto_opposite_pair(
-    delta_e: float,
-    alpha: float,
-    t1: float,
-    t2: float,
-    t_plus_phase: float | None = None,
-) -> np.ndarray:
+def nto_opposite_pair(delta_e: float, alpha: float, t1: float, t2: float) -> np.ndarray:
     """Closed-form NTO propagator for the same +/- kick pair (no quadrature).
 
-    ``t_plus_phase`` overrides the sum-time phase angle (radians) of the
-    off-diagonal entries; by default it is dE (t1 + t2) / 2, matching both
-    the ordered pair and the quadrature path of :func:`nto_propagator`.
+    The off-diagonal phase is dE (t1 + t2) / 2, matching both the ordered
+    pair and the quadrature path of :func:`nto_propagator`.
     """
     if t2 < t1:
         raise ValueError(f"need t2 >= t1, got t1 = {t1!r}, t2 = {t2!r}")
-    if t_plus_phase is None:
-        return nto_pair_matrix(delta_e, alpha, t2 - t1, t1 + t2)
-    chi = 2.0 * alpha * math.sin(0.5 * delta_e * (t2 - t1))
-    b = np.exp(-1j * t_plus_phase) * math.sin(chi)
-    return np.array([[math.cos(chi), b], [-np.conj(b), math.cos(chi)]], dtype=complex)
+    return nto_pair_matrix(delta_e, alpha, t2 - t1, t1 + t2)
 
 
 def nto_propagator(s: Schedule, rep: Representation) -> np.ndarray:
@@ -166,9 +144,6 @@ def change_representation(
 
 def schedule_kick_propagator(s: Schedule) -> np.ndarray:
     """Ordered rotating-frame propagator of an all-kick schedule."""
-    specs = []
-    for p in s.pulses:
-        if not isinstance(p, DeltaKick):
-            raise ValueError("schedule_kick_propagator requires an all-kick schedule")
-        specs.append(KickSpec(p.alpha, p.t_k, p.axis))
-    return kick_sequence(s.delta_e, specs)
+    if s.smooth_pulses():
+        raise ValueError("schedule_kick_propagator requires an all-kick schedule")
+    return kick_sequence(s.delta_e, s.pulses)

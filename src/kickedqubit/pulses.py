@@ -166,9 +166,6 @@ class Schedule:
                     stacklevel=2,
                 )
 
-    def kicks(self) -> tuple[DeltaKick, ...]:
-        return tuple(p for p in self.pulses if isinstance(p, DeltaKick))
-
     def smooth_pulses(self) -> tuple[Pulse, ...]:
         return tuple(p for p in self.pulses if not isinstance(p, DeltaKick))
 

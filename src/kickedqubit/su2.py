@@ -96,10 +96,6 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(dagger(u) @ u - ID2)))
 
 
-def is_unitary(u: np.ndarray, tol: float = TOL_UNITARY) -> bool:
-    return unitarity_defect(u) <= tol
-
-
 def norm_defect(state: np.ndarray) -> float:
     """|1 - (|a1|^2 + |a2|^2)| for a state vector."""
     p1, p2 = probabilities(state)

@@ -25,7 +25,6 @@ from kickedqubit.ode import (
 )
 from kickedqubit.perturbation import dyson_second_order
 from kickedqubit.propagators import (
-    KickSpec,
     kick_sequence,
     nto_opposite_pair,
     nto_propagator,
@@ -140,12 +139,12 @@ def test_criterion_5_second_order_identity():
 
 def test_criterion_6_order_swap_and_time_reversal():
     delta_e, alpha, t1, t2 = 1.2, 0.45, 0.6, 2.2
-    forward = kick_sequence(delta_e, [KickSpec(alpha, t1), KickSpec(-alpha, t2)])
-    swapped = kick_sequence(delta_e, [KickSpec(-alpha, t1), KickSpec(alpha, t2)])
+    forward = kick_sequence(delta_e, [DeltaKick(alpha, t1), DeltaKick(-alpha, t2)])
+    swapped = kick_sequence(delta_e, [DeltaKick(-alpha, t1), DeltaKick(alpha, t2)])
     a = abs(abs(forward[1, 0]) ** 2 - abs(swapped[1, 0]) ** 2) <= 1e-12
 
-    generic_1 = kick_sequence(delta_e, [KickSpec(0.3, t1), KickSpec(0.7, t2)])
-    generic_2 = kick_sequence(delta_e, [KickSpec(0.7, t1), KickSpec(0.3, t2)])
+    generic_1 = kick_sequence(delta_e, [DeltaKick(0.3, t1), DeltaKick(0.7, t2)])
+    generic_2 = kick_sequence(delta_e, [DeltaKick(0.7, t1), DeltaKick(0.3, t2)])
     b = float(np.max(np.abs(generic_1 - generic_2))) > 1e-6
 
     # time reversal at the symmetric point (t_plus = 0): negating both
@@ -164,8 +163,8 @@ def test_criterion_6_order_swap_and_time_reversal():
 
 def test_criterion_7_unitarity_and_norm():
     propagators = [
-        single_kick(1.0, KickSpec(0.7, 2.0)),
-        kick_sequence(1.0, [KickSpec(0.3, 0.5), KickSpec(0.9, 1.5)]),
+        single_kick(1.0, DeltaKick(0.7, 2.0)),
+        kick_sequence(1.0, [DeltaKick(0.3, 0.5), DeltaKick(0.9, 1.5)]),
         opposite_kick_pair(0.8, 0.6, 0.0, 2.0),
         nto_opposite_pair(0.8, 0.6, 0.0, 2.0),
     ]

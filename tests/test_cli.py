@@ -180,3 +180,68 @@ def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+HEADER_CASES = [
+    (
+        ["evolve", "--preset", "2s2p", "--delta-e", "1.0", "--unit", "dimensionless", "--t0", "0",
+         "--tf", "10", "--pulses", "kick:0.1:1", "--tau", "3", "--alpha", "0.2", "--dt", "0.5",
+         "--record-every", "100", "--format", "csv"],
+        ["alpha = 0.2", "command = evolve", "delta-e = 1.0", "dt = 0.5", "preset = 2s2p",
+         "pulses = kick:0.1:1", "representation = schrodinger", "t0 = 0", "tau = 3", "tf = 10",
+         "unit = dimensionless"],
+    ),
+    (
+        ["sweep-surface", "--eps-grid", "0.5", "--phi-grid", "1.0 2.0", "--format", "csv"],
+        ["command = sweep-surface", "eps-points = 1", "phi-points = 2"],
+    ),
+    (
+        ["kick-limit", "--preset", "2s2p", "--delta-e", "0.5", "--unit", "dimensionless",
+         "--alpha", "0.2", "--t-k", "150", "--taus", "100", "--format", "csv"],
+        ["alpha = 0.2", "command = kick-limit", "delta-e = 0.5", "preset = 2s2p", "t-k = 150",
+         "unit = dimensionless"],
+    ),
+    (
+        ["obs-time", "--preset", "2s2p", "--delta-e", "0.5", "--unit", "dimensionless",
+         "--alpha", "0.2", "--t-k", "150", "--tau", "9.46", "--tf-grid", "151 200",
+         "--tf-count", "5", "--format", "csv"],
+        ["alpha = 0.2", "command = obs-time", "delta-e = 0.5", "preset = 2s2p", "t-k = 150",
+         "tau = 9.46", "unit = dimensionless"],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", HEADER_CASES, ids=[c[0][0] for c in HEADER_CASES])
+def test_csv_comment_header_is_pinned(tmp_path, argv, expected):
+    # Every flag the command accepts is given; only the echoed ones reach the header.
+    out = tmp_path / "out.csv"
+    assert run(argv + ["-o", out]) == 0
+    _, _, comments = read_csv(out)
+    assert comments == [f"# {line}" for line in expected]
+
+
+def test_header_from_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[kick-limit]\ndelta-e = 0.5\nt-k = 3\ntaus = 2 1\n")
+    out = tmp_path / "out.csv"
+    assert run(["kick-limit", "--config", cfg, "-o", out]) == 0
+    _, rows, comments = read_csv(out)
+    assert comments == ["# command = kick-limit", "# delta-e = 0.5", "# t-k = 3"]
+    assert len(rows) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["obs-time", "--dt", "1"],
+        ["map-classify", "--preset", "2s2p"],
+        ["sweep-surface", "--tau", "3"],
+        ["kick-limit", "--pulses", "kick:0.1:1"],
+        ["compare-nto", "--format", "csv"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_flag_of_another_command_exits_2(argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,3 +188,17 @@ def test_preset_round_trip():
     assert s.delta_e == pytest.approx(4.37e-6 / 6.58211957e-4)
     assert rabi_period(s.delta_e) == pytest.approx(946.4, abs=0.1)
     assert s.pulses[0].t_k == 150.0
+
+
+def test_scans_emit_no_warnings():
+    # Pulse tails that overhang t0 = 0 are silenced where the schedule is built,
+    # and the default step is half the dt-warning threshold, so nothing may warn.
+    delta_e, t_k = delta_e_from_ev(4.37e-6), 150.0
+    period = rabi_period(delta_e)
+    ladder = [period / 2**k for k in range(1, 9)]  # the CLI default; wide rungs overhang t0
+    grid = np.linspace(t_k, t_k + 3.0 * period, 12)[1:]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(kick_limit_scan(delta_e, math.pi / 2, t_k, ladder)) == 8
+        for tau in (4.73, 200.0):  # 200 overhangs t0 = 0
+            assert len(observation_time_scan(delta_e, math.pi / 2, t_k, tau, grid)) == 11

@@ -11,10 +11,11 @@ from kickedqubit.ode import (
     evolve,
     evolve_nto_reference,
     probabilities_final,
+    propagate,
 )
-from kickedqubit.propagators import KickSpec, change_representation, single_kick
+from kickedqubit.propagators import change_representation, kick_sequence, single_kick
 from kickedqubit.pulses import DeltaKick, Gaussian, Representation, Schedule
-from kickedqubit.su2 import unitarity_defect
+from kickedqubit.su2 import ID2, PauliAxis, unitarity_defect
 from kickedqubit.units import preset_2s2p, rabi_period
 
 GROUND = np.array([1.0, 0.0], dtype=complex)
@@ -118,7 +119,7 @@ def test_kick_limit_monotone_over_width_ladder():
     # The RK4 result approaches the analytic kick prediction monotonically
     # as the width halves.
     delta_e, alpha, t_k = 1.0, 0.9, 3.0
-    kick_p2 = abs(single_kick(delta_e, KickSpec(alpha, t_k))[1, 0]) ** 2
+    kick_p2 = abs(single_kick(delta_e, DeltaKick(alpha, t_k))[1, 0]) ** 2
     errors = []
     for tau in (0.4, 0.2, 0.1, 0.05):
         with warnings.catch_warnings():
@@ -194,3 +195,34 @@ def test_convergence_ratio_sentinel_without_pulses():
     cfg = IntegratorConfig(0.01, Representation.INTERACTION, 10**6)
     _, _, ratio = convergence_check(s, cfg, GROUND)
     assert math.isnan(ratio)
+
+
+def test_propagate_all_kick_schedule_is_the_kick_product():
+    # Schedule sorts stably, so the simultaneous kicks keep their given order.
+    kicks = (DeltaKick(0.2, 3.0), DeltaKick(0.1, 1.0), DeltaKick(0.3, 1.0, PauliAxis.Y))
+    s = Schedule(0.8, kicks, 0.0, 4.0)
+    expected = kick_sequence(0.8, [kicks[1], kicks[2], kicks[0]])
+    np.testing.assert_array_equal(propagate(s), expected)
+
+
+def test_propagate_empty_schedule_is_identity():
+    np.testing.assert_array_equal(propagate(Schedule(1.3, (), 0.0, 2.0)), ID2)
+
+
+def test_propagate_narrow_gaussian_approaches_single_kick():
+    # Same tolerance as the kick-convergence ladder (criterion 3) at period / 256.
+    delta_e = preset_2s2p(9.46).delta_e
+    tau = rabi_period(delta_e) / 256
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = Schedule(delta_e, (Gaussian(math.pi / 2, 150.0, tau),), 0.0, 150.0 + 8.0 * tau)
+    kick = single_kick(delta_e, DeltaKick(math.pi / 2, 150.0))
+    assert abs(abs(propagate(s)[1, 0]) ** 2 - abs(kick[1, 0]) ** 2) <= 1e-3
+
+
+def test_propagate_rejects_mixed_and_z_axis_schedules():
+    mixed = Schedule(1.0, (DeltaKick(0.3, 1.0), Gaussian(0.2, 2.0, 0.1)), 0.0, 3.0)
+    with pytest.raises(ValueError, match="mixed"):
+        propagate(mixed)
+    with pytest.raises(ValueError, match="sigma_x or sigma_y"):
+        propagate(Schedule(1.0, (DeltaKick(0.3, 1.0, PauliAxis.Z),), 0.0, 3.0))

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from kickedqubit.ode import IntegratorConfig, evolve
 from kickedqubit.propagators import (
-    KickSpec,
     change_representation,
     free_propagator,
     kick_sequence,
@@ -22,18 +21,18 @@ from kickedqubit.su2 import ID2, PauliAxis, dagger, exp_i_phi_sigma_u, unitarity
 
 
 def test_zero_strength_kick_is_identity():
-    np.testing.assert_allclose(single_kick(1.3, KickSpec(0.0, 2.0)), ID2, atol=1e-15)
+    np.testing.assert_allclose(single_kick(1.3, DeltaKick(0.0, 2.0)), ID2, atol=1e-15)
 
 
 def test_half_pi_kick_transfers_all_population():
-    u = single_kick(0.8, KickSpec(math.pi / 2, 1.0))
+    u = single_kick(0.8, DeltaKick(math.pi / 2, 1.0))
     assert abs(u[0, 0]) < 1e-15 and abs(u[1, 1]) < 1e-15
     assert abs(u[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
 def test_single_kick_entries():
     delta_e, alpha, t_k = 1.0, 0.4, 3.0
-    u = single_kick(delta_e, KickSpec(alpha, t_k))
+    u = single_kick(delta_e, DeltaKick(alpha, t_k))
     assert u[0, 0] == pytest.approx(math.cos(alpha))
     assert u[0, 1] == pytest.approx(-1j * np.exp(-1j * delta_e * t_k) * math.sin(alpha))
     assert u[1, 0] == pytest.approx(-1j * np.exp(1j * delta_e * t_k) * math.sin(alpha))
@@ -46,12 +45,15 @@ def test_single_kick_matches_exponential_oracle():
     theta = delta_e * t_k
     u_axis = (math.cos(theta), math.sin(theta), 0.0)
     oracle = exp_i_phi_sigma_u(-alpha, u_axis)
-    np.testing.assert_allclose(single_kick(delta_e, KickSpec(alpha, t_k)), oracle, atol=1e-13)
+    np.testing.assert_allclose(single_kick(delta_e, DeltaKick(alpha, t_k)), oracle, atol=1e-13)
 
 
-def test_kick_spec_rejects_z_axis():
-    with pytest.raises(ValueError):
-        KickSpec(0.1, 0.0, PauliAxis.Z)
+def test_kick_propagators_reject_z_axis():
+    z_kick = DeltaKick(0.1, 0.0, PauliAxis.Z)
+    with pytest.raises(ValueError, match="sigma_x or sigma_y"):
+        single_kick(1.0, z_kick)
+    with pytest.raises(ValueError, match="sigma_x or sigma_y"):
+        kick_sequence(1.0, [DeltaKick(0.2, -1.0), z_kick])
 
 
 def test_empty_sequence_is_identity():
@@ -60,21 +62,21 @@ def test_empty_sequence_is_identity():
 
 def test_unsorted_sequence_rejected():
     with pytest.raises(ValueError, match="sorted"):
-        kick_sequence(1.0, [KickSpec(0.1, 2.0), KickSpec(0.1, 1.0)])
+        kick_sequence(1.0, [DeltaKick(0.1, 2.0), DeltaKick(0.1, 1.0)])
 
 
 def test_coincident_kicks_merge_strengths():
-    merged = kick_sequence(0.9, [KickSpec(0.3, 1.5), KickSpec(0.5, 1.5)])
-    np.testing.assert_allclose(merged, single_kick(0.9, KickSpec(0.8, 1.5)), atol=1e-14)
+    merged = kick_sequence(0.9, [DeltaKick(0.3, 1.5), DeltaKick(0.5, 1.5)])
+    np.testing.assert_allclose(merged, single_kick(0.9, DeltaKick(0.8, 1.5)), atol=1e-14)
 
 
 def test_sequence_collapses_in_coincidence_limit():
     # As t2 -> t1 the two-kick product approaches a single kick with the
     # summed strength.
     delta_e, a1, a2, t1 = 0.7, 0.3, 0.5, 1.0
-    target = single_kick(delta_e, KickSpec(a1 + a2, t1))
+    target = single_kick(delta_e, DeltaKick(a1 + a2, t1))
     for gap, tol in [(1e-3, 1e-3), (1e-6, 1e-6)]:
-        u = kick_sequence(delta_e, [KickSpec(a1, t1), KickSpec(a2, t1 + gap)])
+        u = kick_sequence(delta_e, [DeltaKick(a1, t1), DeltaKick(a2, t1 + gap)])
         assert np.max(np.abs(u - target)) < tol
 
 
@@ -82,14 +84,14 @@ def test_two_half_pi_kicks_return_population():
     # Composition oracle: with dE * t_minus = pi, two pi/2 kicks bring the
     # system back to the first level.
     delta_e = 1.0
-    u = kick_sequence(delta_e, [KickSpec(math.pi / 2, 1.0), KickSpec(math.pi / 2, 1.0 + math.pi)])
+    u = kick_sequence(delta_e, [DeltaKick(math.pi / 2, 1.0), DeltaKick(math.pi / 2, 1.0 + math.pi)])
     assert abs(u[0, 0]) ** 2 == pytest.approx(1.0, abs=1e-13)
 
 
 def test_opposite_pair_matches_composition():
     delta_e, alpha, t1, t2 = 1.1, 0.35, 0.7, 2.9
     pair = opposite_kick_pair(delta_e, alpha, t1, t2)
-    seq = kick_sequence(delta_e, [KickSpec(alpha, t1), KickSpec(-alpha, t2)])
+    seq = kick_sequence(delta_e, [DeltaKick(alpha, t1), DeltaKick(-alpha, t2)])
     np.testing.assert_allclose(pair, seq, atol=1e-12)
 
 
@@ -105,7 +107,7 @@ def test_opposite_pair_full_transfer_point():
     # composition of the two single-kick matrices confirms |U21|^2 = 1.
     delta_e, alpha = 1.0, math.pi / 4
     t1, t2 = 0.0, math.pi
-    seq = kick_sequence(delta_e, [KickSpec(alpha, t1), KickSpec(-alpha, t2)])
+    seq = kick_sequence(delta_e, [DeltaKick(alpha, t1), DeltaKick(-alpha, t2)])
     assert abs(seq[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-13)
     pair = opposite_kick_pair(delta_e, alpha, t1, t2)
     assert abs(pair[1, 0]) ** 2 == pytest.approx(1.0, abs=1e-13)
@@ -177,15 +179,15 @@ def test_su2_form_of_pair_matrices():
 
 def test_order_swap_leaves_transfer_probability():
     delta_e, alpha, t1, t2 = 1.2, 0.45, 0.6, 2.2
-    a = kick_sequence(delta_e, [KickSpec(alpha, t1), KickSpec(-alpha, t2)])
-    b = kick_sequence(delta_e, [KickSpec(-alpha, t1), KickSpec(alpha, t2)])
+    a = kick_sequence(delta_e, [DeltaKick(alpha, t1), DeltaKick(-alpha, t2)])
+    b = kick_sequence(delta_e, [DeltaKick(-alpha, t1), DeltaKick(alpha, t2)])
     assert abs(a[1, 0]) ** 2 == pytest.approx(abs(b[1, 0]) ** 2, abs=1e-12)
 
 
 def test_order_swap_changes_generic_matrices():
     delta_e, t1, t2 = 1.2, 0.6, 2.2
-    a = kick_sequence(delta_e, [KickSpec(0.3, t1), KickSpec(0.7, t2)])
-    b = kick_sequence(delta_e, [KickSpec(0.7, t1), KickSpec(0.3, t2)])
+    a = kick_sequence(delta_e, [DeltaKick(0.3, t1), DeltaKick(0.7, t2)])
+    b = kick_sequence(delta_e, [DeltaKick(0.7, t1), DeltaKick(0.3, t2)])
     assert np.max(np.abs(a - b)) > 1e-6
 
 
@@ -254,7 +256,7 @@ def test_pair_propagators_stay_unitary(delta_e, alpha, t1, gap):
 
 
 def test_change_representation_degenerate_is_identity_map():
-    u = single_kick(0.0, KickSpec(0.3, 1.0))
+    u = single_kick(0.0, DeltaKick(0.3, 1.0))
     np.testing.assert_allclose(
         change_representation(u, 0.0, 2.0, 0.0, Representation.SCHRODINGER), u, atol=1e-15
     )
@@ -283,7 +285,7 @@ def test_converted_kick_matches_schrodinger_rk4():
         cfg = IntegratorConfig(tau / 50, Representation.SCHRODINGER, 10**6)
         traj = evolve(s, cfg, np.array([1.0, 0.0], dtype=complex))
         analytic = change_representation(
-            single_kick(delta_e, KickSpec(alpha, t_k)),
+            single_kick(delta_e, DeltaKick(alpha, t_k)),
             delta_e,
             4.0,
             0.0,
@@ -297,5 +299,5 @@ def test_converted_kick_matches_schrodinger_rk4():
 def test_kick_generator_matches_rotated_axis():
     delta_e, t_k = 1.1, 0.9
     r = rotated_axis_matrix(delta_e, t_k, PauliAxis.Y)
-    u = single_kick(delta_e, KickSpec(0.5, t_k, PauliAxis.Y))
+    u = single_kick(delta_e, DeltaKick(0.5, t_k, PauliAxis.Y))
     np.testing.assert_allclose(u, math.cos(0.5) * ID2 - 1j * math.sin(0.5) * r, atol=1e-14)

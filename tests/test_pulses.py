@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from kickedqubit.propagators import KickSpec, single_kick
+from kickedqubit.propagators import single_kick
 from kickedqubit.pulses import (
     DeltaKick,
     Gaussian,
@@ -180,7 +180,7 @@ def test_time_average_single_kick_reproduces_kick_propagator():
         vbar, alpha / 5.0 * rotated_axis_matrix(delta_e, t_k, PauliAxis.X), atol=1e-14
     )
     u = exp_minus_i_generator(vbar, s.duration())
-    np.testing.assert_allclose(u, single_kick(delta_e, KickSpec(alpha, t_k)), atol=1e-13)
+    np.testing.assert_allclose(u, single_kick(delta_e, DeltaKick(alpha, t_k)), atol=1e-13)
 
 
 def test_time_average_opposite_pair_generator():

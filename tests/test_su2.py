@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from kickedqubit.propagators import KickSpec, single_kick
+from kickedqubit.propagators import single_kick
+from kickedqubit.pulses import DeltaKick
 from kickedqubit.su2 import (
     ID2,
     SIGMA_X,
@@ -97,7 +98,7 @@ def test_dagger_examples():
 
 
 def test_dagger_of_kick_propagator_inverts_it():
-    u = single_kick(1.0, KickSpec(0.3, 2.0))
+    u = single_kick(1.0, DeltaKick(0.3, 2.0))
     np.testing.assert_allclose(dagger(u) @ u, ID2, atol=1e-14)
 
 
@@ -109,7 +110,7 @@ def test_apply_examples():
 
 def test_full_transfer_kick():
     # An area pi/2 kick moves all population to the second level.
-    s = apply(single_kick(0.7, KickSpec(math.pi / 2, 1.3)), np.array([1.0, 0.0]))
+    s = apply(single_kick(0.7, DeltaKick(math.pi / 2, 1.3)), np.array([1.0, 0.0]))
     assert probabilities(s)[1] == pytest.approx(1.0, abs=1e-14)
 
 
@@ -120,7 +121,7 @@ def test_probabilities_examples():
 
 
 def test_probabilities_of_kicked_state():
-    s = apply(single_kick(1.0, KickSpec(math.pi / 3, 0.5)), np.array([1.0, 0.0]))
+    s = apply(single_kick(1.0, DeltaKick(math.pi / 3, 0.5)), np.array([1.0, 0.0]))
     p1, p2 = probabilities(s)
     assert p1 == pytest.approx(0.25, abs=1e-14)
     assert p2 == pytest.approx(0.75, abs=1e-14)
