@@ -46,7 +46,7 @@ from .perturbation import dyson_second_order
 from .propagators import nto_propagator
 from .pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
 from .su2 import PauliAxis
-from .units import DELTA_E_2S2P_EV, T_K_2S2P_PS, UnitTag, convert_delta_e, delta_e_from_ev, preset_2s2p
+from .units import DELTA_E_2S2P_EV, T_K_2S2P_PS, UnitTag, convert_delta_e, delta_e_from_ev, preset_2s2p, rabi_period
 
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
@@ -136,22 +136,25 @@ def _as_int(value, key: str) -> int:
         raise ConfigError(f"field {key!r} must be an integer, got {value!r}") from None
 
 
-def _float_list(value, key: str) -> list[float]:
-    if isinstance(value, str):
-        parts = [p for p in value.replace(",", " ").split() if p]
-    else:
-        parts = list(value)
+def _float_list(value: str, key: str) -> list[float]:
+    parts = [p for p in value.replace(",", " ").split() if p]
     if not parts:
         raise ConfigError(f"field {key!r} must list at least one number")
     return [_as_float(p, key) for p in parts]
 
 
 def _is_preset(args, opts) -> bool:
-    """True when the 2s-2p preset is selected; any other preset name is an error."""
+    """True when the 2s-2p preset is selected; another name or a PRESET_FIXED input is an error."""
     preset = _merged(args, opts, "preset")
-    if preset is not None and preset != "2s2p":
+    if preset is None:
+        return False
+    if preset != "2s2p":
         raise ConfigError(f"unknown preset {preset!r}")
-    return preset is not None
+    accepted = COMMANDS[args.command][1]
+    fixed = [k for k in PRESET_FIXED if k in accepted and _merged(args, opts, k) is not None]
+    if fixed:
+        raise ConfigError(f"--preset 2s2p fixes {', '.join(fixed)}; drop the preset or the value")
+    return True
 
 
 def _delta_e(args, opts) -> float:
@@ -177,9 +180,7 @@ def build_schedule(args, opts) -> Schedule:
     delta_e = _delta_e(args, opts)
     t0 = _as_float(_merged(args, opts, "t0", 0.0), "t0")
     tf = _as_float(_merged(args, opts, "tf", 1.0), "tf")
-    pulses = _merged(args, opts, "pulses", "")
-    if isinstance(pulses, str):
-        pulses = parse_pulses(pulses)
+    pulses = parse_pulses(_merged(args, opts, "pulses", ""))
     try:
         return Schedule(delta_e, pulses, t0, tf)
     except ValueError as exc:
@@ -218,11 +219,7 @@ def write_table(args, opts, header: list[str], rows, comments: dict) -> None:
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        Path(args.output).write_text(text)
+    _write(args.output, "\n".join(lines) + "\n")
 
 
 def _complex_pair(z: complex) -> list[float]:
@@ -235,7 +232,11 @@ def matrix_json(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def write_json(path: str, obj: dict) -> None:
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def _write(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; '-' means stdout."""
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -330,11 +331,11 @@ def cmd_pert2(args, opts) -> None:
 
 
 def cmd_kick_limit(args, opts) -> None:
-    s_params = _preset_or_fields(args, opts)
-    taus = _float_list(_merged(args, opts, "taus", _default_tau_ladder(s_params[0])), "taus")
-    rows = kick_limit_scan(s_params[0], s_params[1], s_params[2], taus)
-    comments = _resolved_comment(args, opts)
-    write_table(args, opts, list(KickLimitRow._fields), rows, comments)
+    delta_e, alpha, t_k = _preset_or_fields(args, opts)
+    taus = _merged(args, opts, "taus")
+    taus = _default_tau_ladder(delta_e) if taus is None else _float_list(taus, "taus")
+    rows = kick_limit_scan(delta_e, alpha, t_k, taus)
+    write_table(args, opts, list(KickLimitRow._fields), rows, _resolved_comment(args, opts))
 
 
 def cmd_obs_time(args, opts) -> None:
@@ -342,19 +343,27 @@ def cmd_obs_time(args, opts) -> None:
     tau = _as_float(_merged(args, opts, "tau", 9.46), "tau")
     grid = _merged(args, opts, "tf-grid")
     if grid is None:
-        period = 2.0 * math.pi / abs(delta_e)
+        period = _free_period(delta_e, "tf-grid")
         count = _as_int(_merged(args, opts, "tf-count", 200), "tf-count")
+        if count < 2:
+            raise ConfigError(f"field 'tf-count' must be at least 2, got {count}")
         grid_values = np.linspace(t_k, t_k + 3.0 * period, count)[1:]
     else:
         grid_values = _float_list(grid, "tf-grid")
     rows = observation_time_scan(delta_e, alpha, t_k, tau, grid_values)
-    comments = _resolved_comment(args, opts)
-    write_table(args, opts, list(ObservationRow._fields), rows, comments)
+    write_table(args, opts, list(ObservationRow._fields), rows, _resolved_comment(args, opts))
 
 
-def _default_tau_ladder(delta_e: float) -> str:
-    period = 2.0 * math.pi / abs(delta_e)
-    return " ".join(_fmt(period / 2**k) for k in range(1, 9))
+def _free_period(delta_e: float, flag: str) -> float:
+    """The free period 2 pi / |delta-e| that scales a default grid; none exists at delta-e = 0."""
+    period = rabi_period(delta_e)
+    if math.isinf(period):
+        raise ConfigError(f"delta-e = {delta_e!r} has no free period to scale a grid; give --{flag}")
+    return period
+
+
+def _default_tau_ladder(delta_e: float) -> list[float]:
+    return [_free_period(delta_e, "taus") / 2**k for k in range(1, 9)]
 
 
 def _preset_or_fields(args, opts) -> tuple[float, float, float]:
@@ -366,6 +375,8 @@ def _preset_or_fields(args, opts) -> tuple[float, float, float]:
     return delta_e, alpha, t_k
 
 
+# Inputs the 2s-2p preset sets itself; giving one beside it is a config error.
+PRESET_FIXED = ["delta-e", "unit", "t0", "pulses", "t-k"]
 SCHEDULE_FLAGS = ["preset", "delta-e", "unit", "t0", "tf", "pulses", "tau", "alpha"]
 PULSE_FLAGS = ["preset", "delta-e", "unit", "alpha", "t-k"]
 

@@ -25,6 +25,7 @@ import numpy as np
 from .propagators import nto_propagator, schedule_kick_propagator
 from .pulses import Gaussian, Rectangular, Representation, Schedule, interaction_potential, schrodinger_hamiltonian
 from .su2 import TOL_NORM, norm_defect
+from .units import rabi_period
 
 MAX_STEPS = 10**9
 
@@ -57,8 +58,7 @@ def fastest_scales(s: Schedule) -> tuple[float, float]:
     """(shortest pulse width, free oscillation period); inf when absent."""
     taus = [p.tau for p in s.pulses if isinstance(p, (Gaussian, Rectangular))]
     tau_min = min(taus) if taus else math.inf
-    period = 2.0 * math.pi / abs(s.delta_e) if s.delta_e != 0.0 else math.inf
-    return tau_min, period
+    return tau_min, rabi_period(s.delta_e)
 
 
 def default_step(s: Schedule) -> float:

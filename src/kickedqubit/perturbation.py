@@ -9,8 +9,9 @@ Splitting the product into its anticommutator and commutator halves shows
 that the ordered double integral equals the unordered square -(1/2) I1^2
 plus the ordered commutator integral: the commutator half carries every
 effect of time ordering at this order. This module computes all the pieces
-independently (exact finite sums for kick schedules, nested adaptive Simpson
-for smooth ones) so the identity can be checked rather than assumed.
+independently (exact finite sums for kick schedules; for smooth ones the shared
+adaptive Simpson over t1, with the inner integral extended node by node) so
+the identity can be checked rather than assumed.
 
 Equivalently, the step function ordering weight decomposes as
 Theta(t1 - t2) = 1/2 + sgn(t1 - t2)/2; the constant half reproduces the
@@ -19,6 +20,7 @@ unordered square and the sign half the commutator term.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -29,10 +31,10 @@ from .pulses import (
     Schedule,
     coupling_integral,
     interaction_potential,
-    pulse_coupling_integral,
     pulse_support,
     rotated_axis_matrix,
 )
+from .quadrature import adaptive_simpson
 from .su2 import ID2
 
 # Identity tolerance for the quadrature path; kick sums are exact to rounding.
@@ -78,13 +80,22 @@ def theta_split_weights(t1: float, t2: float) -> tuple[float, float]:
     return 0.5, math.copysign(0.5, t1 - t2)
 
 
+def _breakdown(i1: np.ndarray, ordered: np.ndarray, commutator: np.ndarray) -> SecondOrderBreakdown:
+    """The five pieces from I1 and the ordered integrals of V(t1) V(t2) and [V(t1), V(t2)]."""
+    return SecondOrderBreakdown(
+        zeroth=ID2.copy(),
+        first=-1j * i1,
+        second_ordered=-ordered,
+        second_nto=-0.5 * (i1 @ i1),
+        commutator_correction=-0.5 * commutator,
+    )
+
+
 def _kick_breakdown(s: Schedule) -> SecondOrderBreakdown:
     moments = [
         (p.alpha, p.t_k, rotated_axis_matrix(s.delta_e, p.t_k, p.axis)) for p in s.pulses
     ]
-    i1 = np.zeros((2, 2), dtype=complex)
-    for a, _, r in moments:
-        i1 = i1 + a * r
+    i1 = sum((a * r for a, _, r in moments), np.zeros((2, 2), dtype=complex))
 
     ordered = np.zeros((2, 2), dtype=complex)
     correction = np.zeros((2, 2), dtype=complex)
@@ -97,13 +108,7 @@ def _kick_breakdown(s: Schedule) -> SecondOrderBreakdown:
                 # Equal-time pairs (including self pairs) enter the ordered
                 # simplex with weight 1/2, the Theta(0) = 1/2 convention.
                 ordered = ordered + 0.5 * a_i * a_j * (r_i @ r_j)
-    return SecondOrderBreakdown(
-        zeroth=ID2.copy(),
-        first=-1j * i1,
-        second_ordered=-ordered,
-        second_nto=-0.5 * (i1 @ i1),
-        commutator_correction=-0.5 * correction,
-    )
+    return _breakdown(i1, ordered, correction)
 
 
 def _support_segments(s: Schedule) -> list[tuple[float, float]]:
@@ -125,71 +130,28 @@ def _support_segments(s: Schedule) -> list[tuple[float, float]]:
 
 
 def _smooth_breakdown(s: Schedule) -> SecondOrderBreakdown:
-    # Outer adaptive Simpson in t1 over the pulse support; the inner integral
-    # K(t1) = int_{t0}^{t1} V is itself evaluated by adaptive Simpson, built
-    # up incrementally along the outer nodes (each new node extends K from an
-    # already-known node, so the inner work shrinks with the outer interval).
-    # The ordered and commutator integrands share the same V and K values.
-    def potential(t: float) -> np.ndarray:
-        return interaction_potential(s, t)
+    # Outer adaptive Simpson in t1 over each pulse-support segment, on the
+    # stacked integrand (V K, V K - K V) with V = V(t1) and K(t1) the integral
+    # of V from t0 to t1. adaptive_simpson evaluates each new node after its
+    # left neighbour, so K is extended from the nearest node already known on
+    # the left and the inner work shrinks with the outer interval. The
+    # coupling vanishes between segments, so K carries across the gaps.
+    nodes, ks = [s.t0], [np.zeros((2, 2), dtype=complex)]
 
-    def inner(a: float, b: float) -> np.ndarray:
-        total = np.zeros((2, 2), dtype=complex)
-        for p in s.pulses:
-            total = total + pulse_coupling_integral(
-                p, s.delta_e, a, b, Representation.INTERACTION, _INNER_TOL
-            )
-        return total
-
-    def pair(v: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def integrand(t: float) -> np.ndarray:
+        i = bisect.bisect_right(nodes, t) - 1
+        k = ks[i] + coupling_integral(s, nodes[i], t, Representation.INTERACTION, _INNER_TOL)
+        nodes.insert(i + 1, t)
+        ks.insert(i + 1, k)
+        v = interaction_potential(s, t)
         vk = v @ k
-        return vk, vk - k @ v
+        return np.stack((vk, vk - k @ v))
 
-    def refine(a, b, fa, fm, fb, whole_ord, whole_comm, k_a, k_m, tol, depth):
-        m = 0.5 * (a + b)
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        k_lm = k_a + inner(a, lm)
-        k_rm = k_m + inner(m, rm)
-        flm = pair(potential(lm), k_lm)
-        frm = pair(potential(rm), k_rm)
-        left_ord = (m - a) / 6.0 * (fa[0] + 4.0 * flm[0] + fm[0])
-        left_comm = (m - a) / 6.0 * (fa[1] + 4.0 * flm[1] + fm[1])
-        right_ord = (b - m) / 6.0 * (fm[0] + 4.0 * frm[0] + fb[0])
-        right_comm = (b - m) / 6.0 * (fm[1] + 4.0 * frm[1] + fb[1])
-        d_ord = left_ord + right_ord - whole_ord
-        d_comm = left_comm + right_comm - whole_comm
-        err = max(np.max(np.abs(d_ord)), np.max(np.abs(d_comm)))
-        if depth <= 0 or err <= 15.0 * tol:
-            return left_ord + right_ord + d_ord / 15.0, left_comm + right_comm + d_comm / 15.0
-        lo = refine(a, m, fa, flm, fm, left_ord, left_comm, k_a, k_lm, 0.5 * tol, depth - 1)
-        hi = refine(m, b, fm, frm, fb, right_ord, right_comm, k_m, k_rm, 0.5 * tol, depth - 1)
-        return lo[0] + hi[0], lo[1] + hi[1]
-
-    ordered = np.zeros((2, 2), dtype=complex)
-    commutator = np.zeros((2, 2), dtype=complex)
-    k_running = np.zeros((2, 2), dtype=complex)  # coupling vanishes between supports
-    for lo_t, hi_t in _support_segments(s):
-        m = 0.5 * (lo_t + hi_t)
-        k_m = k_running + inner(lo_t, m)
-        k_hi = k_m + inner(m, hi_t)
-        fa = pair(potential(lo_t), k_running)
-        fm = pair(potential(m), k_m)
-        fb = pair(potential(hi_t), k_hi)
-        whole_ord = (hi_t - lo_t) / 6.0 * (fa[0] + 4.0 * fm[0] + fb[0])
-        whole_comm = (hi_t - lo_t) / 6.0 * (fa[1] + 4.0 * fm[1] + fb[1])
-        seg = refine(lo_t, hi_t, fa, fm, fb, whole_ord, whole_comm, k_running, k_m, _OUTER_TOL, 40)
-        ordered = ordered + seg[0]
-        commutator = commutator + seg[1]
-        k_running = k_hi
-
+    total = np.zeros((2, 2, 2), dtype=complex)
+    for lo, hi in _support_segments(s):
+        total = total + adaptive_simpson(integrand, lo, hi, _OUTER_TOL, 40)
     i1 = coupling_integral(s, s.t0, s.tf, Representation.INTERACTION)
-    return SecondOrderBreakdown(
-        zeroth=ID2.copy(),
-        first=-1j * i1,
-        second_ordered=-ordered,
-        second_nto=-0.5 * (i1 @ i1),
-        commutator_correction=-0.5 * commutator,
-    )
+    return _breakdown(i1, total[0], total[1])
 
 
 def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:

@@ -257,11 +257,13 @@ def pulse_coupling_integral(
     )
 
 
-def coupling_integral(s: Schedule, lo: float, hi: float, rep: Representation) -> np.ndarray:
-    """Integral of the full coupling over [lo, hi] (H0 excluded)."""
+def coupling_integral(
+    s: Schedule, lo: float, hi: float, rep: Representation, tol: float = TOL_QUAD
+) -> np.ndarray:
+    """Integral of the full coupling over [lo, hi] (H0 excluded); quadrature to ``tol``."""
     total = np.zeros((2, 2), dtype=complex)
     for p in s.pulses:
-        total = total + pulse_coupling_integral(p, s.delta_e, lo, hi, rep)
+        total = total + pulse_coupling_integral(p, s.delta_e, lo, hi, rep, tol)
     return total
 
 

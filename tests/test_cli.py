@@ -182,38 +182,49 @@ def test_unknown_command_exits_2():
     assert info.value.code == 2
 
 
-HEADER_CASES = [
-    (
-        ["evolve", "--preset", "2s2p", "--delta-e", "1.0", "--unit", "dimensionless", "--t0", "0",
-         "--tf", "10", "--pulses", "kick:0.1:1", "--tau", "3", "--alpha", "0.2", "--dt", "0.5",
+HEADER_CASES = {
+    "evolve": (
+        ["evolve", "--preset", "2s2p", "--tf", "10", "--tau", "3", "--alpha", "0.2", "--dt", "0.5",
          "--record-every", "100", "--format", "csv"],
-        ["alpha = 0.2", "command = evolve", "delta-e = 1.0", "dt = 0.5", "preset = 2s2p",
-         "pulses = kick:0.1:1", "representation = schrodinger", "t0 = 0", "tau = 3", "tf = 10",
-         "unit = dimensionless"],
+        ["alpha = 0.2", "command = evolve", "dt = 0.5", "preset = 2s2p",
+         "representation = schrodinger", "tau = 3", "tf = 10"],
     ),
-    (
+    "evolve-fields": (
+        ["evolve", "--delta-e", "1.0", "--unit", "dimensionless", "--t0", "0", "--tf", "10",
+         "--pulses", "gaussian:0.1:5:0.5", "--dt", "0.5", "--record-every", "100", "--format", "csv"],
+        ["command = evolve", "delta-e = 1.0", "dt = 0.5", "pulses = gaussian:0.1:5:0.5",
+         "representation = schrodinger", "t0 = 0", "tf = 10", "unit = dimensionless"],
+    ),
+    "sweep-surface": (
         ["sweep-surface", "--eps-grid", "0.5", "--phi-grid", "1.0 2.0", "--format", "csv"],
         ["command = sweep-surface", "eps-points = 1", "phi-points = 2"],
     ),
-    (
-        ["kick-limit", "--preset", "2s2p", "--delta-e", "0.5", "--unit", "dimensionless",
-         "--alpha", "0.2", "--t-k", "150", "--taus", "100", "--format", "csv"],
-        ["alpha = 0.2", "command = kick-limit", "delta-e = 0.5", "preset = 2s2p", "t-k = 150",
+    "kick-limit": (
+        ["kick-limit", "--preset", "2s2p", "--alpha", "0.2", "--taus", "100", "--format", "csv"],
+        ["alpha = 0.2", "command = kick-limit", "preset = 2s2p"],
+    ),
+    "kick-limit-fields": (
+        ["kick-limit", "--delta-e", "0.5", "--unit", "dimensionless", "--alpha", "0.2",
+         "--t-k", "3", "--taus", "2", "--format", "csv"],
+        ["alpha = 0.2", "command = kick-limit", "delta-e = 0.5", "t-k = 3", "unit = dimensionless"],
+    ),
+    "obs-time": (
+        ["obs-time", "--preset", "2s2p", "--alpha", "0.2", "--tau", "9.46", "--tf-grid", "151 200",
+         "--tf-count", "5", "--format", "csv"],
+        ["alpha = 0.2", "command = obs-time", "preset = 2s2p", "tau = 9.46"],
+    ),
+    "obs-time-fields": (
+        ["obs-time", "--delta-e", "0.5", "--unit", "dimensionless", "--alpha", "0.2", "--t-k", "3",
+         "--tau", "1", "--tf-grid", "4 6", "--tf-count", "5", "--format", "csv"],
+        ["alpha = 0.2", "command = obs-time", "delta-e = 0.5", "t-k = 3", "tau = 1",
          "unit = dimensionless"],
     ),
-    (
-        ["obs-time", "--preset", "2s2p", "--delta-e", "0.5", "--unit", "dimensionless",
-         "--alpha", "0.2", "--t-k", "150", "--tau", "9.46", "--tf-grid", "151 200",
-         "--tf-count", "5", "--format", "csv"],
-        ["alpha = 0.2", "command = obs-time", "delta-e = 0.5", "preset = 2s2p", "t-k = 150",
-         "tau = 9.46", "unit = dimensionless"],
-    ),
-]
+}
 
 
-@pytest.mark.parametrize("argv, expected", HEADER_CASES, ids=[c[0][0] for c in HEADER_CASES])
+@pytest.mark.parametrize("argv, expected", list(HEADER_CASES.values()), ids=list(HEADER_CASES))
 def test_csv_comment_header_is_pinned(tmp_path, argv, expected):
-    # Every flag the command accepts is given; only the echoed ones reach the header.
+    # Every flag the command uses is given; only the echoed ones reach the header.
     out = tmp_path / "out.csv"
     assert run(argv + ["-o", out]) == 0
     _, _, comments = read_csv(out)
@@ -245,3 +256,69 @@ def test_flag_of_another_command_exits_2(argv):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--delta-e", "1.0"],
+        ["evolve", "--unit", "ev_ps"],
+        ["compare-nto", "--t0", "0"],
+        ["pert2", "--pulses", "gaussian:0.1:150:9.46"],
+        ["kick-limit", "--t-k", "150", "--taus", "10"],
+        ["obs-time", "--delta-e", "0.5", "--tf-grid", "200"],
+    ],
+    ids=lambda argv: " ".join(argv[:2]),
+)
+def test_preset_rejects_the_inputs_it_fixes(capsys, argv):
+    assert run(argv[:1] + ["--preset", "2s2p"] + argv[1:]) == 2
+    assert f"fixes {argv[1][2:]}" in capsys.readouterr().err
+
+
+def test_preset_rejects_fixed_input_from_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[kick-limit]\npreset = 2s2p\ndelta-e = 0.5\ntaus = 10\n")
+    assert run(["kick-limit", "--config", cfg]) == 2
+    assert "fixes delta-e" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("count", ["-1", "0", "1"])
+def test_obs_time_tf_count_below_two_exits_2(capsys, count):
+    argv = ["obs-time", "--delta-e", "1", "--t-k", "0", "--tau", "1", "--tf-count", count]
+    assert run(argv) == 2
+    assert "tf-count" in capsys.readouterr().err
+
+
+def test_obs_time_tf_count_two_gives_one_row(tmp_path):
+    out = tmp_path / "obs.csv"
+    assert run(["obs-time", "--delta-e", "1", "--t-k", "0", "--tau", "1", "--tf-count", "2", "-o", out]) == 0
+    _, rows, _ = read_csv(out)
+    assert [r[0] for r in rows] == [6.0 * math.pi]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["kick-limit", "--delta-e", "0"], "--taus"),
+        (["obs-time", "--delta-e", "0", "--t-k", "1"], "--tf-grid"),
+    ],
+    ids=["kick-limit", "obs-time"],
+)
+def test_zero_splitting_without_grid_exits_2(capsys, argv, flag):
+    assert run(argv) == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kick-limit", "--delta-e", "0", "--t-k", "3", "--taus", "1"],
+        ["obs-time", "--delta-e", "0", "--t-k", "1", "--tau", "0.5", "--tf-grid", "3"],
+    ],
+    ids=["kick-limit", "obs-time"],
+)
+def test_zero_splitting_with_explicit_grid_runs(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert run(argv + ["-o", out]) == 0
+    _, rows, _ = read_csv(out)
+    assert len(rows) == 1

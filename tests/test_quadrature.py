@@ -41,3 +41,22 @@ def test_matrix_valued_integrand():
 def test_complex_scalar_integrand():
     value = adaptive_simpson(lambda t: np.exp(1j * t), 0.0, math.pi, 1e-12)
     assert value == pytest.approx(2j, abs=1e-11)
+
+
+def test_each_node_follows_its_left_neighbour():
+    # An integrand may extend a running integral from the nearest node on its
+    # left: the first calls are a, the midpoint and b, and every later call is
+    # the midpoint of the nearest nodes already evaluated on each side.
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.exp(-t * t) * math.cos(3.0 * t)
+
+    adaptive_simpson(f, -2.0, 3.0, 1e-10)
+    assert calls[:3] == [-2.0, 0.5, 3.0]
+    assert len(calls) > 100
+    for i, t in enumerate(calls[3:], start=3):
+        left = max(x for x in calls[:i] if x < t)
+        right = min(x for x in calls[:i] if x > t)
+        assert t == 0.5 * (left + right)
