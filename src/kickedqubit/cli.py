@@ -35,15 +35,16 @@ import numpy as np
 from .diagnostics import (
     KickLimitRow,
     ObservationRow,
+    SurfacePoint,
     classify_regime,
     default_surface_grids,
     kick_limit_scan,
     observation_time_scan,
     ordering_difference_surface,
+    transfer_probabilities,
 )
-from .ode import IntegratorConfig, default_step, evolve, propagate
+from .ode import IntegratorConfig, default_step, evolve
 from .perturbation import dyson_second_order
-from .propagators import nto_propagator
 from .pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
 from .su2 import PauliAxis
 from .units import DELTA_E_2S2P_EV, T_K_2S2P_PS, UnitTag, convert_delta_e, delta_e_from_ev, preset_2s2p, rabi_period
@@ -177,6 +178,9 @@ def build_schedule(args, opts) -> Schedule:
         tf = _merged(args, opts, "tf")
         return preset_2s2p(tau, alpha, None if tf is None else _as_float(tf, "tf"))
 
+    unused = [k for k in ("tau", "alpha") if _merged(args, opts, k) is not None]
+    if unused:
+        raise ConfigError(f"{', '.join(unused)} apply only with --preset 2s2p; give the pulse in --pulses")
     delta_e = _delta_e(args, opts)
     t0 = _as_float(_merged(args, opts, "t0", 0.0), "t0")
     tf = _as_float(_merged(args, opts, "tf", 1.0), "tf")
@@ -269,7 +273,7 @@ def cmd_evolve(args, opts) -> None:
     dt = default_step(s) if dt is None else _as_float(dt, "dt")
     record_every = _as_int(_merged(args, opts, "record-every", 1), "record-every")
     cfg = IntegratorConfig(dt, rep, record_every)
-    traj = evolve(s, cfg, np.array([1.0, 0.0], dtype=complex))
+    traj = evolve(s, cfg)
     probs = traj.probabilities()
     rows = [(float(t), float(p[0]), float(p[1])) for t, p in zip(traj.times, probs)]
     comments = _resolved_comment(args, opts)
@@ -285,20 +289,15 @@ def cmd_sweep_surface(args, opts) -> None:
     eps_grid = eps_default if eps is None else _float_list(eps, "eps-grid")
     phi_grid = phi_default if phi is None else _float_list(phi, "phi-grid")
     points = ordering_difference_surface(eps_grid, phi_grid)
-    rows = [(p.epsilon, p.phi, p.p2_ordered, p.p2_nto, p.difference) for p in points]
     comments = _resolved_comment(args, opts)
     comments["eps-points"] = len(eps_grid)
     comments["phi-points"] = len(phi_grid)
-    write_table(args, opts, ["epsilon", "phi", "p2_ordered", "p2_nto", "difference"], rows, comments)
+    write_table(args, opts, list(SurfacePoint._fields), points, comments)
 
 
 def cmd_compare_nto(args, opts) -> None:
-    s = build_schedule(args, opts)
-    result = {
-        "p2_ordered": float(abs(propagate(s)[1, 0]) ** 2),
-        "p2_nto_interaction": float(abs(nto_propagator(s, Representation.INTERACTION)[1, 0]) ** 2),
-        "p2_nto_schrodinger": float(abs(nto_propagator(s, Representation.SCHRODINGER)[1, 0]) ** 2),
-    }
+    names = ("p2_ordered", "p2_nto_interaction", "p2_nto_schrodinger")
+    result = dict(zip(names, transfer_probabilities(build_schedule(args, opts))))
     result["difference_interaction"] = result["p2_ordered"] - result["p2_nto_interaction"]
     result["difference_schrodinger"] = result["p2_ordered"] - result["p2_nto_schrodinger"]
     write_json(args.output, result)

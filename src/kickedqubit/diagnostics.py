@@ -18,7 +18,6 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -45,8 +44,7 @@ def p2_nto(epsilon: float, phi: float) -> float:
     return math.sin(epsilon * phi) ** 2
 
 
-@dataclass(frozen=True)
-class SurfacePoint:
+class SurfacePoint(NamedTuple):
     epsilon: float
     phi: float
     p2_ordered: float
@@ -144,6 +142,15 @@ def _gaussian_schedule(delta_e, alpha, t_k, tau, tf) -> Schedule:
         return Schedule(delta_e, (Gaussian(alpha, t_k, tau, PauliAxis.X),), 0.0, tf)
 
 
+def transfer_probabilities(s: Schedule) -> tuple[float, float, float]:
+    """Transfer probability |U_21|^2: (ordered, NTO interaction, NTO Schrodinger)."""
+    return (
+        float(abs(propagate(s)[1, 0]) ** 2),
+        float(abs(nto_propagator(s, Representation.INTERACTION)[1, 0]) ** 2),
+        float(abs(nto_propagator(s, Representation.SCHRODINGER)[1, 0]) ** 2),
+    )
+
+
 def kick_limit_scan(
     delta_e: float, alpha: float, t_k: float, taus: list[float]
 ) -> list[KickLimitRow]:
@@ -162,14 +169,7 @@ def kick_limit_scan(
     rows = []
     for tau in taus:
         s = _gaussian_schedule(delta_e, alpha, t_k, tau, t_k + 8.0 * tau)
-        rows.append(
-            KickLimitRow(
-                tau,
-                float(abs(propagate(s)[1, 0]) ** 2),
-                float(abs(nto_propagator(s, Representation.INTERACTION)[1, 0]) ** 2),
-                float(abs(nto_propagator(s, Representation.SCHRODINGER)[1, 0]) ** 2),
-            )
-        )
+        rows.append(KickLimitRow(tau, *transfer_probabilities(s)))
     return rows
 
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .propagators import nto_propagator, schedule_kick_propagator
 from .pulses import Gaussian, Rectangular, Representation, Schedule, interaction_potential, schrodinger_hamiltonian
-from .su2 import TOL_NORM, norm_defect
 from .units import rabi_period
 
 MAX_STEPS = 10**9
@@ -45,13 +44,14 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Recorded propagators: ``propagators[i]`` is U(times[i], t0), shape (n, 2, 2)."""
+
     times: np.ndarray
-    states: np.ndarray  # shape (n, 2); states[i] belongs to times[i]
-    final_propagator: np.ndarray
+    propagators: np.ndarray
 
     def probabilities(self) -> np.ndarray:
-        """Columns (P1, P2) along the trajectory."""
-        return np.abs(self.states) ** 2
+        """Columns (P1, P2) along the trajectory, starting in state 1."""
+        return np.abs(self.propagators[:, :, 0]) ** 2
 
 
 def fastest_scales(s: Schedule) -> tuple[float, float]:
@@ -76,20 +76,17 @@ def _generator(s: Schedule, rep: Representation):
     return lambda t: interaction_potential(s, t)
 
 
-def evolve(s: Schedule, cfg: IntegratorConfig, initial: np.ndarray) -> Trajectory:
-    """RK4 trajectory of (a1, a2) from t0 to tf, plus the full propagator.
+def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
+    """RK4 propagator U(t, t0) from t0 to tf, recorded every ``cfg.record_every`` steps and at tf.
 
     The two canonical basis columns are advanced together as a 2x2 matrix
     (one Hamiltonian evaluation serves both), which is the same arithmetic
-    as integrating each column independently; the state trajectory is the
-    propagator applied to ``initial``. States are never renormalized: the
-    norm drift at tf is the standard integration diagnostic.
+    as integrating each column independently; column j of U is the state
+    that starts in level j + 1. U is never renormalized: its unitarity
+    defect at tf is the standard integration diagnostic.
     """
     if s.has_kicks():
         raise ValueError("delta kicks cannot be integrated; use the kick propagators")
-    initial = np.asarray(initial, dtype=complex)
-    if norm_defect(initial) > TOL_NORM:
-        raise ValueError("initial state must be normalized")
 
     tau_min, period = fastest_scales(s)
     threshold = min(tau_min / 20.0, period / 200.0)
@@ -112,17 +109,17 @@ def evolve(s: Schedule, cfg: IntegratorConfig, initial: np.ndarray) -> Trajector
     t = s.t0
     for step in range(1, n_steps + 1):
         k1 = -1j * (gen(t) @ u)
-        k2 = -1j * (gen(t + 0.5 * h) @ (u + 0.5 * h * k1))
-        k3 = -1j * (gen(t + 0.5 * h) @ (u + 0.5 * h * k2))
+        mid = gen(t + 0.5 * h)
+        k2 = -1j * (mid @ (u + 0.5 * h * k1))
+        k3 = -1j * (mid @ (u + 0.5 * h * k2))
+        # Not the next step's gen(t): t + h and t0 + step * h round differently.
         k4 = -1j * (gen(t + h) @ (u + h * k3))
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = s.t0 + step * h
         if step % cfg.record_every == 0 or step == n_steps:
             times.append(t)
             propagators.append(u)
-
-    states = np.array([p @ initial for p in propagators])
-    return Trajectory(np.array(times), states, u)
+    return Trajectory(np.array(times), np.array(propagators))
 
 
 def propagate(s: Schedule) -> np.ndarray:
@@ -136,7 +133,7 @@ def propagate(s: Schedule) -> np.ndarray:
     if s.has_kicks():
         raise ValueError("mixed kick and smooth schedules are not supported")
     cfg = IntegratorConfig(default_step(s), Representation.INTERACTION, record_every=10**6)
-    return evolve(s, cfg, np.array([1.0, 0.0], dtype=complex)).final_propagator
+    return evolve(s, cfg).propagators[-1]
 
 
 def evolve_nto_reference(
@@ -163,10 +160,8 @@ def evolve_nto_reference(
     return out
 
 
-def convergence_check(
-    s: Schedule, cfg: IntegratorConfig, initial: np.ndarray
-) -> tuple[float, float, float]:
-    """Final P2 at dt and dt/2, plus the Richardson step-halving ratio.
+def convergence_check(s: Schedule, cfg: IntegratorConfig) -> tuple[float, float, float]:
+    """Final P2 from state 1 at dt and dt/2, plus the Richardson step-halving ratio.
 
     The ratio (P2(dt) - P2(dt/2)) / (P2(dt/2) - P2(dt/4)) approaches 16 for
     clean fourth-order convergence. When the differences sit at the rounding
@@ -176,16 +171,10 @@ def convergence_check(
     p2 = []
     for divisor in (1, 2, 4):
         run_cfg = IntegratorConfig(cfg.dt / divisor, cfg.representation, cfg.record_every)
-        traj = evolve(s, run_cfg, initial)
-        p2.append(probabilities_final(traj)[1])
+        p2.append(evolve(s, run_cfg).probabilities()[-1, 1])
     coarse = p2[0] - p2[1]
     fine = p2[1] - p2[2]
     floor = 1e-13
     if abs(fine) < floor or abs(coarse) < floor:
         return p2[0], p2[1], math.nan
     return p2[0], p2[1], coarse / fine
-
-
-def probabilities_final(traj: Trajectory) -> tuple[float, float]:
-    a1, a2 = traj.states[-1]
-    return (abs(a1) ** 2, abs(a2) ** 2)

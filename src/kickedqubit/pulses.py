@@ -196,14 +196,8 @@ def rotated_axis_matrix(delta_e: float, t: float, axis: PauliAxis) -> np.ndarray
     return pauli(PauliAxis.Z)
 
 
-def _no_kicks(s: Schedule, what: str) -> None:
-    if s.has_kicks():
-        raise ValueError(f"{what} is undefined at a delta kick; use the analytic kick propagators")
-
-
 def schrodinger_hamiltonian(s: Schedule, t: float) -> np.ndarray:
     """H(t) = -(delta_e/2) sigma_z + sum_p V_p(t) sigma_axis."""
-    _no_kicks(s, "the pointwise Hamiltonian")
     h = -0.5 * s.delta_e * SIGMA_Z.copy()
     for p in s.pulses:
         v = value_at(p, t)
@@ -214,7 +208,6 @@ def schrodinger_hamiltonian(s: Schedule, t: float) -> np.ndarray:
 
 def interaction_potential(s: Schedule, t: float) -> np.ndarray:
     """Rotating-frame coupling: sum_p V_p(t) * rotated sigma_axis at time t."""
-    _no_kicks(s, "the pointwise interaction potential")
     v = np.zeros((2, 2), dtype=complex)
     for p in s.pulses:
         amp = value_at(p, t)

@@ -2,8 +2,8 @@
 
 Matrices are plain ``numpy`` arrays of shape ``(2, 2)`` with dtype
 ``complex128``; states are arrays of shape ``(2,)``. There is no propagator
-or Hamiltonian subtype -- validity checks (unitarity, normalization) are
-explicit functions that callers apply where the contract demands it.
+or Hamiltonian subtype -- the unitarity check is an explicit function that
+callers apply where the contract demands it.
 """
 
 from __future__ import annotations
@@ -94,12 +94,6 @@ def probabilities(state: np.ndarray) -> tuple[float, float]:
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-entry deviation of U†U from the identity."""
     return float(np.max(np.abs(dagger(u) @ u - ID2)))
-
-
-def norm_defect(state: np.ndarray) -> float:
-    """|1 - (|a1|^2 + |a2|^2)| for a state vector."""
-    p1, p2 = probabilities(state)
-    return abs(1.0 - (p1 + p2))
 
 
 def bloch_components(g: np.ndarray) -> tuple[float, float, float]:

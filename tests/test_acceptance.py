@@ -21,7 +21,6 @@ from kickedqubit.ode import (
     convergence_check,
     default_step,
     evolve,
-    probabilities_final,
 )
 from kickedqubit.perturbation import dyson_second_order
 from kickedqubit.propagators import (
@@ -35,8 +34,6 @@ from kickedqubit.propagators import (
 from kickedqubit.pulses import DeltaKick, Gaussian, Representation, Schedule
 from kickedqubit.su2 import dagger, unitarity_defect
 from kickedqubit.units import preset_2s2p, rabi_period
-
-GROUND = np.array([1.0, 0.0], dtype=complex)
 
 
 def verdict(number: int, label: str, ok: bool) -> None:
@@ -182,10 +179,10 @@ def test_criterion_7_unitarity_and_norm():
     rk4_unitary = True
     for rep in Representation:
         cfg = IntegratorConfig(default_step(s), rep, 10**6)
-        traj = evolve(s, cfg, GROUND)
-        rk4_unitary &= unitarity_defect(traj.final_propagator) <= 1e-8
+        traj = evolve(s, cfg)
+        rk4_unitary &= unitarity_defect(traj.propagators[-1]) <= 1e-8
         if rep is Representation.SCHRODINGER:
-            p1, p2 = probabilities_final(traj)
+            p1, p2 = traj.probabilities()[-1]
             drift = abs(1.0 - (p1 + p2))
 
     verdict(
@@ -200,7 +197,7 @@ def test_criterion_8_rk4_order():
         warnings.simplefilter("ignore")
         s = preset_2s2p(59.15, tf=150.0 + 8 * 59.15)
     cfg = IntegratorConfig(default_step(s), Representation.SCHRODINGER, 10**6)
-    _, _, ratio = convergence_check(s, cfg, GROUND)
+    _, _, ratio = convergence_check(s, cfg)
     verdict(8, f"step-halving ratio {ratio:.1f} within [8, 32]", 8.0 <= ratio <= 32.0)
 
 

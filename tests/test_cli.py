@@ -282,6 +282,30 @@ def test_preset_rejects_fixed_input_from_config_file(tmp_path, capsys):
     assert "fixes delta-e" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["evolve", "--tau", "3"],
+        ["compare-nto", "--alpha", "9"],
+        ["pert2", "--tau", "3", "--alpha", "9"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_tau_and_alpha_without_preset_exit_2(capsys, argv):
+    schedule = ["--delta-e", "1", "--tf", "2", "--pulses", "gaussian:0.1:1:0.2"]
+    assert run(argv[:1] + schedule + argv[1:]) == 2
+    err = capsys.readouterr().err
+    assert "--pulses" in err and all(f"{flag[2:]}" in err for flag in argv[1::2])
+
+
+def test_tau_without_preset_from_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[evolve]\ndelta-e = 1\ntf = 2\npulses = gaussian:0.1:1:0.2\ntau = 3\n")
+    assert run(["evolve", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert "tau" in err and "--pulses" in err
+
+
 @pytest.mark.parametrize("count", ["-1", "0", "1"])
 def test_obs_time_tf_count_below_two_exits_2(capsys, count):
     argv = ["obs-time", "--delta-e", "1", "--t-k", "0", "--tau", "1", "--tf-count", count]

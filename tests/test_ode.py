@@ -10,15 +10,12 @@ from kickedqubit.ode import (
     convergence_check,
     evolve,
     evolve_nto_reference,
-    probabilities_final,
     propagate,
 )
 from kickedqubit.propagators import change_representation, kick_sequence, single_kick
 from kickedqubit.pulses import DeltaKick, Gaussian, Representation, Schedule
 from kickedqubit.su2 import ID2, PauliAxis, unitarity_defect
 from kickedqubit.units import preset_2s2p, rabi_period
-
-GROUND = np.array([1.0, 0.0], dtype=complex)
 
 
 def narrow_pulse_schedule(tau=9.46):
@@ -38,20 +35,20 @@ def test_interaction_picture_constant_without_pulses():
     s = Schedule(2.0, (), 0.0, 5.0)
     cfg = IntegratorConfig(0.01, Representation.INTERACTION, record_every=50)
     initial = np.array([0.6, 0.8j], dtype=complex)
-    traj = evolve(s, cfg, initial)
-    for state in traj.states:
-        np.testing.assert_allclose(state, initial, atol=1e-12)
+    traj = evolve(s, cfg)
+    for u in traj.propagators:
+        np.testing.assert_allclose(u @ initial, initial, atol=1e-12)
 
 
 def test_free_phase_evolution_in_schrodinger_picture():
     delta_e = 2.0
     s = Schedule(delta_e, (), 0.0, 3.0)
     cfg = IntegratorConfig(0.005, Representation.SCHRODINGER, record_every=100)
-    traj = evolve(s, cfg, GROUND)
-    for t, state in zip(traj.times, traj.states):
-        assert state[0] == pytest.approx(np.exp(0.5j * delta_e * t), abs=1e-9)
-        assert abs(state[1]) < 1e-12
-    assert probabilities_final(traj)[0] == pytest.approx(1.0, abs=1e-10)
+    traj = evolve(s, cfg)
+    for t, u in zip(traj.times, traj.propagators):
+        assert u[0, 0] == pytest.approx(np.exp(0.5j * delta_e * t), abs=1e-9)
+        assert abs(u[1, 0]) < 1e-12
+    assert traj.probabilities()[-1, 0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_narrow_gaussian_reaches_kick_limit():
@@ -60,35 +57,48 @@ def test_narrow_gaussian_reaches_kick_limit():
     # at period/256 the pulse is within 1e-3 of the ideal kick.
     s = narrow_pulse_schedule()
     cfg = IntegratorConfig(default_step(s), Representation.SCHRODINGER, 10**6)
-    traj = evolve(s, cfg, GROUND)
-    assert abs(probabilities_final(traj)[1] - 1.0) < 3e-3
+    traj = evolve(s, cfg)
+    assert abs(traj.probabilities()[-1, 1] - 1.0) < 3e-3
 
     tau = rabi_period(s.delta_e) / 256.0
     s_narrow = narrow_pulse_schedule(tau)
     cfg = IntegratorConfig(default_step(s_narrow), Representation.SCHRODINGER, 10**6)
-    traj = evolve(s_narrow, cfg, GROUND)
-    assert abs(probabilities_final(traj)[1] - 1.0) < 1e-3
+    traj = evolve(s_narrow, cfg)
+    assert abs(traj.probabilities()[-1, 1] - 1.0) < 1e-3
 
 
-def test_rejects_kicks_and_bad_initial():
+def test_rejects_kicks():
     s = Schedule(1.0, (DeltaKick(0.3, 0.5),), 0.0, 1.0)
     with pytest.raises(ValueError, match="kick"):
-        evolve(s, IntegratorConfig(0.01), GROUND)
-    s2 = Schedule(1.0, (), 0.0, 1.0)
-    with pytest.raises(ValueError, match="normalized"):
-        evolve(s2, IntegratorConfig(0.01), np.array([1.0, 1.0]))
+        evolve(s, IntegratorConfig(0.01))
+
+
+def test_rk4_step_samples_the_generator_three_times(monkeypatch):
+    # One sample at t, one shared by both midpoint stages, one at t + h.
+    from kickedqubit.pulses import interaction_potential
+
+    calls = []
+
+    def counting(s, t):
+        calls.append(t)
+        return interaction_potential(s, t)
+
+    monkeypatch.setattr("kickedqubit.ode.interaction_potential", counting)
+    s = Schedule(0.5, (Gaussian(0.5, 8.0, 1.25),), 0.0, 16.0)
+    evolve(s, IntegratorConfig(0.0625, Representation.INTERACTION))
+    assert len(calls) == 3 * 256
 
 
 def test_step_overflow_guard():
     s = Schedule(1.0, (), 0.0, 1.0)
     with pytest.raises(ValueError, match="step limit"):
-        evolve(s, IntegratorConfig(1e-10), GROUND)
+        evolve(s, IntegratorConfig(1e-10))
 
 
 def test_warns_when_step_does_not_resolve_pulse():
     s = Schedule(0.0, (Gaussian(0.5, 5.0, 0.1),), 0.0, 10.0)
     with pytest.warns(UserWarning, match="resolve"):
-        evolve(s, IntegratorConfig(0.5, Representation.INTERACTION), GROUND)
+        evolve(s, IntegratorConfig(0.5, Representation.INTERACTION))
 
 
 def test_norm_drift_at_warning_threshold():
@@ -96,8 +106,7 @@ def test_norm_drift_at_warning_threshold():
     tau = s.pulses[0].tau
     threshold = min(tau / 20.0, rabi_period(s.delta_e) / 200.0)
     cfg = IntegratorConfig(threshold, Representation.SCHRODINGER, 10**6)
-    traj = evolve(s, cfg, GROUND)
-    p1, p2 = probabilities_final(traj)
+    p1, p2 = evolve(s, cfg).probabilities()[-1]
     assert abs(1.0 - (p1 + p2)) <= 1e-8
 
 
@@ -106,9 +115,8 @@ def test_final_propagator_unitary_and_consistent_across_pictures():
     finals = {}
     for rep in Representation:
         cfg = IntegratorConfig(default_step(s), rep, 10**6)
-        traj = evolve(s, cfg, GROUND)
-        assert unitarity_defect(traj.final_propagator) < 1e-8
-        finals[rep] = traj.final_propagator
+        finals[rep] = evolve(s, cfg).propagators[-1]
+        assert unitarity_defect(finals[rep]) < 1e-8
     converted = change_representation(
         finals[Representation.INTERACTION], s.delta_e, s.tf, s.t0, Representation.SCHRODINGER
     )
@@ -126,7 +134,7 @@ def test_kick_limit_monotone_over_width_ladder():
             warnings.simplefilter("ignore")
             s = Schedule(delta_e, (Gaussian(alpha, t_k, tau),), 0.0, 6.0)
         cfg = IntegratorConfig(default_step(s), Representation.INTERACTION, 10**6)
-        errors.append(abs(probabilities_final(evolve(s, cfg, GROUND))[1] - kick_p2))
+        errors.append(abs(evolve(s, cfg).probabilities()[-1, 1] - kick_p2))
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
@@ -140,7 +148,7 @@ def test_ordering_effect_vanishes_with_splitting():
     for delta_e in (1.0, 0.25, 0.0625):
         s = Schedule(delta_e, (Gaussian(alpha, t_k, tau),), 0.0, 6.0)
         cfg = IntegratorConfig(default_step(s), Representation.INTERACTION, 10**6)
-        ordered = probabilities_final(evolve(s, cfg, GROUND))[1]
+        ordered = evolve(s, cfg).probabilities()[-1, 1]
         nto = abs(nto_propagator(s, Representation.INTERACTION)[1, 0]) ** 2
         gaps.append(abs(ordered - nto))
     assert gaps[0] > 1e-4
@@ -151,8 +159,8 @@ def test_ordering_effect_vanishes_with_splitting():
 def test_trajectory_recording_decimation():
     s = Schedule(1.0, (), 0.0, 1.0)
     cfg = IntegratorConfig(0.01, Representation.INTERACTION, record_every=10)
-    traj = evolve(s, cfg, GROUND)
-    assert len(traj.times) == len(traj.states)
+    traj = evolve(s, cfg)
+    assert traj.propagators.shape == (len(traj.times), 2, 2)
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
     assert len(traj.times) == 11
 
@@ -185,7 +193,7 @@ def test_nto_reference_schrodinger_damps():
 def test_convergence_ratio_fourth_order():
     s = narrow_pulse_schedule(tau=59.15)
     cfg = IntegratorConfig(default_step(s), Representation.SCHRODINGER, 10**6)
-    p2_dt, p2_half, ratio = convergence_check(s, cfg, GROUND)
+    p2_dt, p2_half, ratio = convergence_check(s, cfg)
     assert 8.0 <= ratio <= 32.0
     assert p2_dt == pytest.approx(p2_half, abs=1e-5)
 
@@ -193,7 +201,7 @@ def test_convergence_ratio_fourth_order():
 def test_convergence_ratio_sentinel_without_pulses():
     s = Schedule(1.0, (), 0.0, 2.0)
     cfg = IntegratorConfig(0.01, Representation.INTERACTION, 10**6)
-    _, _, ratio = convergence_check(s, cfg, GROUND)
+    _, _, ratio = convergence_check(s, cfg)
     assert math.isnan(ratio)
 
 

@@ -194,7 +194,7 @@ def test_breakdown_matches_rk4_through_second_order():
         s = Schedule(0.8, (Gaussian(alpha, 2.0, 0.3),), 0.0, 4.0)
         b = dyson_second_order(s)
         cfg = IntegratorConfig(0.002, Representation.INTERACTION, 10**6)
-        u = evolve(s, cfg, np.array([1.0, 0.0], dtype=complex)).final_propagator
+        u = evolve(s, cfg).propagators[-1]
         residuals.append(np.max(np.abs(u - b.through_second_order())))
     slope = (math.log(residuals[0]) - math.log(residuals[-1])) / math.log(
         areas[0] / areas[-1]
