@@ -119,6 +119,8 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
         if step % cfg.record_every == 0 or step == n_steps:
             times.append(t)
             propagators.append(u)
+    if not np.all(np.isfinite(u)):
+        raise FloatingPointError(f"RK4 propagator is not finite at h = {h:g}; the step is unstable")
     return Trajectory(np.array(times), np.array(propagators))
 
 

@@ -101,7 +101,7 @@ def nto_opposite_pair(delta_e: float, alpha: float, t1: float, t2: float) -> np.
     """Closed-form NTO propagator for the same +/- kick pair (no quadrature).
 
     The off-diagonal phase is dE (t1 + t2) / 2, matching both the ordered
-    pair and the quadrature path of :func:`nto_propagator`.
+    pair and the general path of :func:`nto_propagator`.
     """
     if t2 < t1:
         raise ValueError(f"need t2 >= t1, got t1 = {t1!r}, t2 = {t2!r}")

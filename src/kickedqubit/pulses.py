@@ -14,7 +14,9 @@ All quantities are dimensionless with hbar = 1; products ``delta_e * t`` are
 the only physical combinations (see :mod:`kickedqubit.units` for eV/ps
 conversion). The free Hamiltonian is ``-(delta_e/2) * sigma_z``, so the
 rotating-frame coupling along x picks up the phase ``exp(-i delta_e t)`` in
-its (1, 2) entry.
+its (1, 2) entry. Its integral is closed-form except for a Gaussian clipped
+by the window, the one case left to adaptive Simpson; a z-axis pulse
+commutes with H0 and integrates as in the Schrodinger picture.
 """
 
 from __future__ import annotations
@@ -227,10 +229,13 @@ def pulse_coupling_integral(
     """Integral of this pulse's coupling matrix over [lo, hi].
 
     Kicks contribute ``alpha`` times the (rotated) axis matrix when ``t_k``
-    lies in the closed interval; smooth pulses in the Schrodinger picture use
-    the closed-form integrated strength, and in the interaction picture the
-    rotated integrand is integrated by adaptive Simpson over the part of the
-    pulse support inside the window.
+    lies in the closed interval. Smooth pulses use the integrated strength in
+    the Schrodinger picture and on the z axis, which commutes with H0. In the
+    interaction picture a Rectangular pulse on [a, b] gives the sinc form,
+    exact at delta_e = 0, with the axis rotated to (a + b) / 2; a Gaussian
+    whose whole support lies in the window gives ``alpha exp(-(delta_e tau /
+    2)^2)`` with the axis rotated to ``t_k``. Only a Gaussian clipped by the
+    window is integrated by adaptive Simpson to ``tol``.
     """
     if isinstance(p, DeltaKick):
         if lo <= p.t_k <= hi:
@@ -240,11 +245,19 @@ def pulse_coupling_integral(
         return np.zeros((2, 2), dtype=complex)
 
     a, b = pulse_support(p)
+    whole = lo <= a and b <= hi
     a, b = max(a, lo), min(b, hi)
     if b <= a:
         return np.zeros((2, 2), dtype=complex)
-    if rep is Representation.SCHRODINGER:
+    if rep is Representation.SCHRODINGER or p.axis is PauliAxis.Z:
         return integrated_strength(p, a, b) * pauli(p.axis)
+    if isinstance(p, Rectangular):
+        w = b - a
+        share = w * np.sinc(delta_e * w / (2.0 * math.pi)) / p.tau
+        return p.alpha * share * rotated_axis_matrix(delta_e, 0.5 * (a + b), p.axis)
+    if whole:
+        damping = math.exp(-((0.5 * delta_e * p.tau) ** 2))
+        return p.alpha * damping * rotated_axis_matrix(delta_e, p.t_k, p.axis)
     return adaptive_simpson(
         lambda t: value_at(p, t) * rotated_axis_matrix(delta_e, t, p.axis), a, b, tol
     )
@@ -253,7 +266,7 @@ def pulse_coupling_integral(
 def coupling_integral(
     s: Schedule, lo: float, hi: float, rep: Representation, tol: float = TOL_QUAD
 ) -> np.ndarray:
-    """Integral of the full coupling over [lo, hi] (H0 excluded); quadrature to ``tol``."""
+    """Integral of the full coupling over [lo, hi] (H0 excluded); any quadrature to ``tol``."""
     total = np.zeros((2, 2), dtype=complex)
     for p in s.pulses:
         total = total + pulse_coupling_integral(p, s.delta_e, lo, hi, rep, tol)

@@ -346,3 +346,12 @@ def test_zero_splitting_with_explicit_grid_runs(tmp_path, argv):
     assert run(argv + ["-o", out]) == 0
     _, rows, _ = read_csv(out)
     assert len(rows) == 1
+
+
+def test_unstable_step_exits_5_without_output(capsys):
+    # dt far above the free period: RK4 overflows to inf, then nan.
+    argv = ["evolve", "--delta-e", "1000", "--tf", "4", "--dt", "0.01", "--record-every", "20"]
+    assert run(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err

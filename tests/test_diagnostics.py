@@ -202,3 +202,27 @@ def test_scans_emit_no_warnings():
         assert len(kick_limit_scan(delta_e, math.pi / 2, t_k, ladder)) == 8
         for tau in (4.73, 200.0):  # 200 overhangs t0 = 0
             assert len(observation_time_scan(delta_e, math.pi / 2, t_k, tau, grid)) == 11
+
+
+def test_obs_time_nto_quadrature_only_inside_the_pulse(monkeypatch):
+    # On the CLI's default obs-time grid the interaction-picture NTO needs a
+    # quadrature only where the window clips the Gaussian; beyond its support
+    # the closed form gives the same value at every observation time.
+    import kickedqubit.pulses as pulses
+    from kickedqubit.quadrature import adaptive_simpson
+
+    calls = []
+
+    def counting(f, a, b, *rest):
+        calls.append(b)
+        return adaptive_simpson(f, a, b, *rest)
+
+    monkeypatch.setattr(pulses, "adaptive_simpson", counting)
+    tau, t_k = 9.46, 150.0
+    delta_e = preset_2s2p(tau).delta_e
+    grid = np.linspace(t_k, t_k + 3.0 * rabi_period(delta_e), 200)[1:]
+    rows = observation_time_scan(delta_e, math.pi / 2, t_k, tau, grid)
+    support_end = t_k + 6.0 * tau
+    assert len(calls) == len([tf for tf in grid if tf < support_end]) == 3
+    beyond = [r.p2_nto_interaction for r in rows if r.tf >= support_end]
+    assert max(beyond) - min(beyond) < 1e-14

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kickedqubit.propagators import single_kick
 from kickedqubit.pulses import (
@@ -13,6 +14,7 @@ from kickedqubit.pulses import (
     Schedule,
     integrated_strength,
     interaction_potential,
+    pulse_coupling_integral,
     pulse_support,
     rotated_axis_matrix,
     schrodinger_hamiltonian,
@@ -220,3 +222,44 @@ def test_time_average_pictures_coincide_when_degenerate():
         time_average(s, Representation.SCHRODINGER),
         atol=1e-12,
     )
+
+
+def _window(a: float, b: float, kind: str, f: float, g: float) -> tuple[float, float]:
+    """A window that covers [a, b], cuts it at one edge, or lies after it."""
+    w = b - a
+    if kind == "cover":
+        return a - f * w, b + g * w
+    if kind == "clip-left":
+        return a + f * w, b + g * w
+    if kind == "clip-right":
+        return a - g * w, b - f * w
+    return b + f * w, b + (1.0 + f + g) * w
+
+
+@settings(deadline=None)
+@given(
+    rectangular=st.booleans(),
+    axis=st.sampled_from(list(PauliAxis)),
+    delta_e=st.one_of(st.just(0.0), st.floats(-4.0, -0.01), st.floats(0.01, 4.0)),
+    alpha=st.floats(-2.0, 2.0),
+    center=st.floats(-5.0, 5.0),
+    tau=st.floats(0.2, 2.0),
+    kind=st.sampled_from(["cover", "clip-left", "clip-right", "miss"]),
+    f=st.floats(0.01, 0.99),
+    g=st.floats(0.0, 1.0),
+)
+def test_interaction_coupling_integral_matches_quadrature(
+    rectangular, axis, delta_e, alpha, center, tau, kind, f, g
+):
+    p = Rectangular(alpha, center, tau, axis) if rectangular else Gaussian(alpha, center, tau, axis)
+    lo, hi = _window(*pulse_support(p), kind, f, g)
+    got = pulse_coupling_integral(p, delta_e, lo, hi, Representation.INTERACTION)
+    a, b = pulse_support(p)
+    a, b = max(a, lo), min(b, hi)
+    expected = np.zeros((2, 2), dtype=complex)
+    if b > a:
+        expected = adaptive_simpson(
+            lambda t: value_at(p, t) * rotated_axis_matrix(delta_e, t, axis), a, b, 1e-13
+        )
+    clipped_gaussian = not rectangular and axis is not PauliAxis.Z and kind.startswith("clip")
+    assert np.max(np.abs(got - expected)) <= (1e-9 if clipped_gaussian else 1e-12)
