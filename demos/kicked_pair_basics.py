@@ -57,8 +57,8 @@ print(f"  time-ordered   P2     = {p2:.9f}")
 print(f"  no ordering    P2^(0) = {p2_nto:.9f}")
 print(f"  ordering effect        = {p2 - p2_nto:+.9f}")
 
-# The closed NTO form agrees with exponentiating the time average computed
-# by quadrature on the same schedule.
+# The closed NTO form agrees with exponentiating the time average of the
+# same schedule, there a sum over its two kicks.
 s = Schedule(delta_e, (DeltaKick(alpha, t1), DeltaKick(-alpha, t2)), 0.0, 4.0)
-quad = nto_propagator(s, Representation.INTERACTION)
-print(f"  closed form vs quadrature: {np.max(np.abs(nto - quad)):.2e}")
+averaged = nto_propagator(s, Representation.INTERACTION)
+print(f"  pair form vs time average: {np.max(np.abs(nto - averaged)):.2e}")

@@ -9,8 +9,8 @@ Splitting the product into its anticommutator and commutator halves shows
 that the ordered double integral equals the unordered square -(1/2) I1^2
 plus the ordered commutator integral: the commutator half carries every
 effect of time ordering at this order. This module computes all the pieces
-independently (exact finite sums for kick schedules; for smooth ones the shared
-adaptive Simpson over t1, with the inner integral extended node by node) so
+independently (exact finite sums for kick schedules; for smooth ones the
+shared adaptive Simpson over t1 with the inner integral in closed form) so
 the identity can be checked rather than assumed.
 
 Equivalently, the step function ordering weight decomposes as
@@ -20,7 +20,6 @@ unordered square and the sign half the commutator term.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -30,9 +29,9 @@ from .pulses import (
     Representation,
     Schedule,
     coupling_integral,
-    interaction_potential,
     pulse_support,
     rotated_axis_matrix,
+    value_at,
 )
 from .quadrature import adaptive_simpson
 from .su2 import ID2
@@ -40,7 +39,6 @@ from .su2 import ID2
 # Identity tolerance for the quadrature path; kick sums are exact to rounding.
 TOL_QUAD2 = 1e-8
 
-_INNER_TOL = 1e-11
 _OUTER_TOL = 1e-9
 
 
@@ -111,44 +109,24 @@ def _kick_breakdown(s: Schedule) -> SecondOrderBreakdown:
     return _breakdown(i1, ordered, correction)
 
 
-def _support_segments(s: Schedule) -> list[tuple[float, float]]:
-    """Union of pulse supports clipped to the window, merged and sorted."""
-    raw = []
+def _smooth_breakdown(s: Schedule) -> SecondOrderBreakdown:
+    # Outer adaptive Simpson in t1, once per pulse over its clipped support, on
+    # the stacked integrand (V_p K, V_p K - K V_p). V_p is that pulse's rotated
+    # coupling at t1, so the pulses' terms sum to V; K(t1) is the closed-form
+    # integral of the whole coupling from t0 to t1.
+    total = np.zeros((2, 2, 2), dtype=complex)
     for p in s.pulses:
         lo, hi = pulse_support(p)
         lo, hi = max(lo, s.t0), min(hi, s.tf)
-        if hi > lo:
-            raw.append((lo, hi))
-    raw.sort()
-    merged: list[tuple[float, float]] = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
-        else:
-            merged.append((lo, hi))
-    return merged
+        if hi <= lo:
+            continue
 
+        def integrand(t: float) -> np.ndarray:
+            v = value_at(p, t) * rotated_axis_matrix(s.delta_e, t, p.axis)
+            k = coupling_integral(s, s.t0, t, Representation.INTERACTION)
+            vk = v @ k
+            return np.stack((vk, vk - k @ v))
 
-def _smooth_breakdown(s: Schedule) -> SecondOrderBreakdown:
-    # Outer adaptive Simpson in t1 over each pulse-support segment, on the
-    # stacked integrand (V K, V K - K V) with V = V(t1) and K(t1) the integral
-    # of V from t0 to t1. adaptive_simpson evaluates each new node after its
-    # left neighbour, so K is extended from the nearest node already known on
-    # the left and the inner work shrinks with the outer interval. The
-    # coupling vanishes between segments, so K carries across the gaps.
-    nodes, ks = [s.t0], [np.zeros((2, 2), dtype=complex)]
-
-    def integrand(t: float) -> np.ndarray:
-        i = bisect.bisect_right(nodes, t) - 1
-        k = ks[i] + coupling_integral(s, nodes[i], t, Representation.INTERACTION, _INNER_TOL)
-        nodes.insert(i + 1, t)
-        ks.insert(i + 1, k)
-        v = interaction_potential(s, t)
-        vk = v @ k
-        return np.stack((vk, vk - k @ v))
-
-    total = np.zeros((2, 2, 2), dtype=complex)
-    for lo, hi in _support_segments(s):
         total = total + adaptive_simpson(integrand, lo, hi, _OUTER_TOL, 40)
     i1 = coupling_integral(s, s.t0, s.tf, Representation.INTERACTION)
     return _breakdown(i1, total[0], total[1])
@@ -158,7 +136,7 @@ def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
     """All five second-order pieces for the schedule, rotating frame fixed.
 
     Kick schedules use exact finite sums over ordered kick pairs; smooth
-    schedules use nested adaptive Simpson over the ordered time simplex.
+    schedules use adaptive Simpson over t1, with the inner integral in closed form.
     Mixing kicks with finite-width pulses is rejected: the simplex handling
     at a kick inside a smooth pulse is ambiguous.
     """

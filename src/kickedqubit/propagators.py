@@ -98,7 +98,7 @@ def opposite_kick_pair(delta_e: float, alpha: float, t1: float, t2: float) -> np
 
 
 def nto_opposite_pair(delta_e: float, alpha: float, t1: float, t2: float) -> np.ndarray:
-    """Closed-form NTO propagator for the same +/- kick pair (no quadrature).
+    """Closed-form NTO propagator for the same +/- kick pair.
 
     The off-diagonal phase is dE (t1 + t2) / 2, matching both the ordered
     pair and the general path of :func:`nto_propagator`.

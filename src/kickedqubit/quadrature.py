@@ -28,8 +28,6 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL, max_depth:
     if a > b:
         return -adaptive_simpson(f, b, a, tol, max_depth)
 
-    # Each new node is evaluated after its left neighbour (a, m, b; then lm, rm
-    # in _refine), so an integrand may extend a running integral from the left.
     m = 0.5 * (a + b)
     fa = np.asarray(f(a), dtype=complex)
     fm = np.asarray(f(m), dtype=complex)

@@ -99,7 +99,7 @@ def unitarity_defect(u: np.ndarray) -> float:
 def bloch_components(g: np.ndarray) -> tuple[float, float, float]:
     """Decompose a traceless Hermitian matrix as gx*sx + gy*sy + gz*sz.
 
-    The anti-Hermitian and trace parts (rounding noise from quadrature) are
+    The anti-Hermitian and trace parts (rounding noise of a time average) are
     discarded by symmetrizing first.
     """
     h = 0.5 * (g + dagger(g))

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -204,25 +205,37 @@ def test_scans_emit_no_warnings():
             assert len(observation_time_scan(delta_e, math.pi / 2, t_k, tau, grid)) == 11
 
 
-def test_obs_time_nto_quadrature_only_inside_the_pulse(monkeypatch):
-    # On the CLI's default obs-time grid the interaction-picture NTO needs a
-    # quadrature only where the window clips the Gaussian; beyond its support
-    # the closed form gives the same value at every observation time.
-    import kickedqubit.pulses as pulses
+def test_obs_time_and_kick_limit_run_no_quadrature(monkeypatch):
+    # Every NTO average of these scans is closed-form: on the CLI's default
+    # obs-time grid, where the window cuts the Gaussian (at tau = 200 also at
+    # t0 = 0), and on the default kick-limit ladder. Beyond the support the
+    # interaction-picture NTO gives the same value at every observation time.
     from kickedqubit.quadrature import adaptive_simpson
 
     calls = []
 
     def counting(f, a, b, *rest):
-        calls.append(b)
+        calls.append((a, b))
         return adaptive_simpson(f, a, b, *rest)
 
-    monkeypatch.setattr(pulses, "adaptive_simpson", counting)
+    bound = [
+        name
+        for name, module in sorted(sys.modules.items())
+        if name.startswith("kickedqubit")
+        and getattr(module, "adaptive_simpson", None) is adaptive_simpson
+    ]
+    assert "kickedqubit.quadrature" in bound
+    for name in bound:
+        monkeypatch.setattr(sys.modules[name], "adaptive_simpson", counting)
+
     tau, t_k = 9.46, 150.0
     delta_e = preset_2s2p(tau).delta_e
-    grid = np.linspace(t_k, t_k + 3.0 * rabi_period(delta_e), 200)[1:]
+    period = rabi_period(delta_e)
+    grid = np.linspace(t_k, t_k + 3.0 * period, 200)[1:]
     rows = observation_time_scan(delta_e, math.pi / 2, t_k, tau, grid)
+    observation_time_scan(delta_e, math.pi / 2, t_k, 200.0, grid)
+    kick_limit_scan(delta_e, math.pi / 2, t_k, [period / 2**k for k in range(1, 9)])
+    assert calls == []
     support_end = t_k + 6.0 * tau
-    assert len(calls) == len([tf for tf in grid if tf < support_end]) == 3
     beyond = [r.p2_nto_interaction for r in rows if r.tf >= support_end]
     assert max(beyond) - min(beyond) < 1e-14

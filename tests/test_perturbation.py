@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,6 +20,10 @@ GAUSSIAN = Schedule(0.8, (Gaussian(0.9, 2.0, 0.3),), 0.0, 4.0)
 # Supports [0.2, 3.8] and [4.5, 6.0]: the coupling vanishes on the gap between.
 GAUSSIAN_GAP_RECT = Schedule(
     0.8, (Gaussian(0.9, 2.0, 0.3), Rectangular(0.6, 4.5, 1.5, PauliAxis.Y)), 0.0, 7.0
+)
+# The Rectangular's [1.7, 2.3] lies inside the Gaussian's support [0.2, 3.8].
+GAUSSIAN_OVERLAP_RECT = Schedule(
+    0.8, (Gaussian(0.9, 2.0, 0.3), Rectangular(0.6, 1.7, 0.6, PauliAxis.Y)), 0.0, 4.0
 )
 
 
@@ -105,18 +110,36 @@ def test_central_identity_quadrature_path():
     assert dyson_second_order(GAUSSIAN).identity_residual() < TOL_QUAD2
 
 
-@pytest.mark.parametrize("s", [GAUSSIAN, GAUSSIAN_GAP_RECT], ids=["gaussian", "gaussian-gap-rect"])
+@pytest.mark.parametrize(
+    "s",
+    [GAUSSIAN, GAUSSIAN_GAP_RECT, GAUSSIAN_OVERLAP_RECT],
+    ids=["gaussian", "gaussian-gap-rect", "gaussian-overlap-rect"],
+)
 def test_quadrature_path_against_brute_force_nested_quadrature(s):
-    # Independent slow route: outer Simpson over each pulse support with a
-    # fresh inner quadrature from t0 at every node, no shared state; with a
-    # gap between supports the inner integral is checked across the gap.
-    from kickedqubit.pulses import coupling_integral, interaction_potential, pulse_support
+    # Independent slow route, sharing no closed form and no per-pulse outer
+    # loop with the library: at every outer node K(t1) is a fresh per-pulse
+    # quadrature of V from t0, and the outer Simpson takes the full V(t1) over
+    # the intervals between all sorted clipped support endpoints. With a gap
+    # K is checked across it; with overlap, where two pulses drive at once.
+    from kickedqubit.pulses import interaction_potential, pulse_support, rotated_axis_matrix, value_at
 
-    def integrand(t1):
-        k = coupling_integral(s, s.t0, t1, Representation.INTERACTION)
-        return interaction_potential(s, t1) @ k
+    def clipped(p, t):
+        lo, hi = pulse_support(p)
+        return max(lo, s.t0), min(hi, t)
 
-    brute = -sum(adaptive_simpson(integrand, *pulse_support(p), 1e-9) for p in s.pulses)
+    @functools.lru_cache(maxsize=None)  # a pulse's whole support recurs beyond it
+    def piece(p, a, b):
+        v = lambda t: value_at(p, t) * rotated_axis_matrix(s.delta_e, t, p.axis)
+        return adaptive_simpson(v, a, b, 1e-10) if b > a else np.zeros((2, 2), dtype=complex)
+
+    def k_of(t1):
+        return sum(piece(p, *clipped(p, t1)) for p in s.pulses)
+
+    ends = sorted({e for p in s.pulses for e in clipped(p, s.tf)})
+    brute = -sum(
+        adaptive_simpson(lambda t1: interaction_potential(s, t1) @ k_of(t1), lo, hi, 1e-9)
+        for lo, hi in zip(ends, ends[1:])
+    )
     b = dyson_second_order(s)
     assert np.max(np.abs(brute - b.second_ordered)) < 1e-7
 

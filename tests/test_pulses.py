@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -12,6 +13,7 @@ from kickedqubit.pulses import (
     Rectangular,
     Representation,
     Schedule,
+    faddeeva,
     integrated_strength,
     interaction_potential,
     pulse_coupling_integral,
@@ -261,5 +263,39 @@ def test_interaction_coupling_integral_matches_quadrature(
         expected = adaptive_simpson(
             lambda t: value_at(p, t) * rotated_axis_matrix(delta_e, t, axis), a, b, 1e-13
         )
-    clipped_gaussian = not rectangular and axis is not PauliAxis.Z and kind.startswith("clip")
-    assert np.max(np.abs(got - expected)) <= (1e-9 if clipped_gaussian else 1e-12)
+    assert np.max(np.abs(got - expected)) <= 1e-12
+
+
+def test_faddeeva_on_the_imaginary_axis():
+    for y in np.linspace(0.0, 5.0, 51):
+        assert faddeeva(complex(0.0, y)) == pytest.approx(math.exp(y * y) * math.erfc(y), rel=1e-13)
+
+
+def test_faddeeva_real_part_on_the_real_axis():
+    for x in np.linspace(-8.0, 8.0, 161):
+        assert abs(faddeeva(complex(x, 0.0)).real - math.exp(-x * x)) <= 1e-14
+
+
+def test_faddeeva_asymptote():
+    # w(z) = i / (sqrt(pi) z) (1 + 1/(2 z^2) + O(z^-4)) for large |z|.
+    for phase in np.linspace(0.0, math.pi, 7):
+        z = 1e3 * cmath.exp(1j * phase)
+        leading = 1j / (math.sqrt(math.pi) * z)
+        assert abs(faddeeva(z) - leading * (1.0 + 0.5 / z**2)) <= 1e-11 * abs(leading)
+
+
+def test_faddeeva_rejects_the_lower_half_plane():
+    with pytest.raises(ValueError, match="Im z"):
+        faddeeva(complex(0.3, -1e-3))
+
+
+def test_faddeeva_against_scipy_wofz():
+    pytest.importorskip("scipy")
+    from scipy.special import wofz
+
+    rng = np.random.default_rng(1994)
+    z = rng.uniform(-8.0, 8.0, 20000) + 1j * rng.uniform(0.0, 8.0, 20000)
+    z = np.concatenate((z, [1e3, -1e3, 1e3j, 700.0 + 700.0j, -700.0 + 700.0j, 5.0 + 1e3j, 0.0]))
+    got = np.array([faddeeva(complex(v)) for v in z])
+    want = wofz(z)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
