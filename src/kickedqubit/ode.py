@@ -9,9 +9,10 @@ or in the interaction picture, i da/dt = V_I(t) a, with V_I the rotated
 coupling. The step is fixed (no adaptivity) so repeated runs are
 bit-reproducible; convergence is checked by step halving.
 
-Delta kicks have no pointwise field, so :func:`evolve` rejects them;
-:func:`propagate` sends all-kick schedules to the closed forms in
-:mod:`kickedqubit.propagators` and smooth ones to :func:`evolve`.
+Delta kicks have no pointwise field, so :func:`evolve` rejects them.
+:func:`propagate` takes any schedule: it splits the window at the kick
+times, runs :func:`evolve` on the smooth pieces between them and applies the
+kicks' closed form from :mod:`kickedqubit.propagators` at each split.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
-from .propagators import nto_propagator, schedule_kick_propagator
-from .pulses import Gaussian, Rectangular, Representation, Schedule, interaction_potential, schrodinger_hamiltonian
+from .propagators import kick_sequence, nto_propagator
+from .pulses import (
+    Gaussian, Rectangular, Representation, Schedule, interaction_potential, pulse_support, schrodinger_hamiltonian
+)
 from .units import rabi_period
 
 MAX_STEPS = 10**9
@@ -125,17 +129,29 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
 
 
 def propagate(s: Schedule) -> np.ndarray:
-    """Time-ordered rotating-frame propagator of ``s`` over [t0, tf].
+    """Time-ordered rotating-frame propagator of ``s`` over [t0, tf], for any schedule.
 
-    All-kick and empty schedules use the closed-form kick product, smooth ones
-    RK4 in the interaction picture at :func:`default_step`; mixed ones raise.
+    The window is split at the times of :meth:`Schedule.kicks`. Each piece
+    that a smooth support overlaps is integrated by RK4 in the interaction
+    picture at :func:`default_step` of the whole schedule, and the kicks at
+    each split are applied by :func:`kick_sequence`. Interaction-picture
+    propagators compose, so the product is the propagator of the window.
     """
-    if not s.smooth_pulses():
-        return schedule_kick_propagator(s)
-    if s.has_kicks():
-        raise ValueError("mixed kick and smooth schedules are not supported")
     cfg = IntegratorConfig(default_step(s), Representation.INTERACTION, record_every=10**6)
-    return evolve(s, cfg).propagators[-1]
+    smooth = s.smooth_pulses()
+    splits = [(t, tuple(kicks)) for t, kicks in groupby(s.kicks(), key=lambda kick: kick.t_k)]
+    u = np.eye(2, dtype=complex)
+    start = s.t0
+    for end, kicks in splits + [(s.tf, ())]:
+        if end > start and any(lo < end and hi > start for lo, hi in map(pulse_support, smooth)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # pieces clip pulse supports by design
+                piece = Schedule(s.delta_e, smooth, start, end)
+            u = evolve(piece, cfg).propagators[-1] @ u
+        if kicks:
+            u = kick_sequence(s.delta_e, kicks) @ u
+        start = end
+    return u
 
 
 def evolve_nto_reference(

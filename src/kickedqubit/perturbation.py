@@ -9,9 +9,10 @@ Splitting the product into its anticommutator and commutator halves shows
 that the ordered double integral equals the unordered square -(1/2) I1^2
 plus the ordered commutator integral: the commutator half carries every
 effect of time ordering at this order. This module computes all the pieces
-independently (exact finite sums for kick schedules; for smooth ones the
-shared adaptive Simpson over t1 with the inner integral in closed form) so
-the identity can be checked rather than assumed.
+in one sweep over time, in which delta kicks are events at edges and smooth
+pulses are integrated between them (the shared adaptive Simpson over t1,
+with the inner integral in closed form), so the identity can be checked
+rather than assumed.
 
 Equivalently, the step function ordering weight decomposes as
 Theta(t1 - t2) = 1/2 + sgn(t1 - t2)/2; the constant half reproduces the
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
 from .pulses import (
     Representation,
     Schedule,
-    coupling_integral,
+    pulse_coupling_integral,
     pulse_support,
     rotated_axis_matrix,
     value_at,
@@ -36,7 +38,7 @@ from .pulses import (
 from .quadrature import adaptive_simpson
 from .su2 import ID2
 
-# Identity tolerance for the quadrature path; kick sums are exact to rounding.
+# Identity tolerance of the gap quadrature; kick events alone are exact to rounding.
 TOL_QUAD2 = 1e-8
 
 _OUTER_TOL = 1e-9
@@ -78,74 +80,50 @@ def theta_split_weights(t1: float, t2: float) -> tuple[float, float]:
     return 0.5, math.copysign(0.5, t1 - t2)
 
 
-def _breakdown(i1: np.ndarray, ordered: np.ndarray, commutator: np.ndarray) -> SecondOrderBreakdown:
-    """The five pieces from I1 and the ordered integrals of V(t1) V(t2) and [V(t1), V(t2)]."""
-    return SecondOrderBreakdown(
-        zeroth=ID2.copy(),
-        first=-1j * i1,
-        second_ordered=-ordered,
-        second_nto=-0.5 * (i1 @ i1),
-        commutator_correction=-0.5 * commutator,
-    )
-
-
-def _kick_breakdown(s: Schedule) -> SecondOrderBreakdown:
-    moments = [
-        (p.alpha, p.t_k, rotated_axis_matrix(s.delta_e, p.t_k, p.axis)) for p in s.pulses
-    ]
-    i1 = sum((a * r for a, _, r in moments), np.zeros((2, 2), dtype=complex))
-
-    ordered = np.zeros((2, 2), dtype=complex)
-    correction = np.zeros((2, 2), dtype=complex)
-    for a_i, t_i, r_i in moments:
-        for a_j, t_j, r_j in moments:
-            if t_i > t_j:
-                ordered = ordered + a_i * a_j * (r_i @ r_j)
-                correction = correction + a_i * a_j * (r_i @ r_j - r_j @ r_i)
-            elif t_i == t_j:
-                # Equal-time pairs (including self pairs) enter the ordered
-                # simplex with weight 1/2, the Theta(0) = 1/2 convention.
-                ordered = ordered + 0.5 * a_i * a_j * (r_i @ r_j)
-    return _breakdown(i1, ordered, correction)
-
-
-def _smooth_breakdown(s: Schedule) -> SecondOrderBreakdown:
-    # Outer adaptive Simpson in t1, once per pulse over its clipped support, on
-    # the stacked integrand (V_p K, V_p K - K V_p). V_p is that pulse's rotated
-    # coupling at t1, so the pulses' terms sum to V; K(t1) is the closed-form
-    # integral of the whole coupling from t0 to t1.
-    total = np.zeros((2, 2, 2), dtype=complex)
-    for p in s.pulses:
-        lo, hi = pulse_support(p)
-        lo, hi = max(lo, s.t0), min(hi, s.tf)
-        if hi <= lo:
-            continue
-
-        def integrand(t: float) -> np.ndarray:
-            v = value_at(p, t) * rotated_axis_matrix(s.delta_e, t, p.axis)
-            k = coupling_integral(s, s.t0, t, Representation.INTERACTION)
-            vk = v @ k
-            return np.stack((vk, vk - k @ v))
-
-        total = total + adaptive_simpson(integrand, lo, hi, _OUTER_TOL, 40)
-    i1 = coupling_integral(s, s.t0, s.tf, Representation.INTERACTION)
-    return _breakdown(i1, total[0], total[1])
-
-
 def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
     """All five second-order pieces for the schedule, rotating frame fixed.
 
-    Kick schedules use exact finite sums over ordered kick pairs; smooth
-    schedules use adaptive Simpson over t1, with the inner integral in closed form.
-    Mixing kicks with finite-width pulses is rejected: the simplex handling
-    at a kick inside a smooth pulse is ambiguous.
+    One sweep over the sorted edges: the times of :meth:`Schedule.kicks` and
+    the clipped ends of every smooth support. It carries K, the closed-form
+    integral of V from t0. The kicks at an edge, g = sum of alpha R, add
+    g (K + g/2) to the ordered integral, the Theta(0) = 1/2 rule for
+    equal-time pairs, and [g, K] to the commutator one. Each gap between
+    edges adds an adaptive Simpson over t1 of (V K, V K - K V), where V sums
+    the smooth pulses active on the gap and K(t1) adds their closed-form
+    integrals from the gap's start.
     """
-    has_kicks = s.has_kicks()
-    if has_kicks and len(s.smooth_pulses()) > 0:
-        raise ValueError("mixed kick and smooth schedules are not supported at second order")
-    if has_kicks or not s.pulses:
-        return _kick_breakdown(s)
-    return _smooth_breakdown(s)
+    kicks = {
+        t: sum(kick.alpha * rotated_axis_matrix(s.delta_e, t, kick.axis) for kick in group)
+        for t, group in groupby(s.kicks(), key=lambda kick: kick.t_k)
+    }
+    supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
+    edges = sorted(kicks.keys() | {min(max(t, s.t0), s.tf) for _, lo, hi in supports for t in (lo, hi)})
+    k = np.zeros((2, 2), dtype=complex)
+    total = np.zeros((2, 2, 2), dtype=complex)  # ordered integrals of (V1 V2, [V1, V2])
+    for a, b in zip([s.t0] + edges, edges):
+        active = [p for p, lo, hi in supports if lo < b and hi > a]
+        if active:
+
+            def integrand(t: float) -> np.ndarray:
+                v = sum(value_at(p, t) * rotated_axis_matrix(s.delta_e, t, p.axis) for p in active)
+                kt = k + sum(pulse_coupling_integral(p, s.delta_e, a, t, Representation.INTERACTION) for p in active)
+                vk = v @ kt
+                return np.stack((vk, vk - kt @ v))
+
+            total = total + adaptive_simpson(integrand, a, b, _OUTER_TOL, 40)
+            k = k + sum(pulse_coupling_integral(p, s.delta_e, a, b, Representation.INTERACTION) for p in active)
+        if b in kicks:
+            g = kicks[b]
+            total = total + np.stack((g @ (k + 0.5 * g), g @ k - k @ g))
+            k = k + g
+    # K is now I1, the integral of V over the window.
+    return SecondOrderBreakdown(
+        zeroth=ID2.copy(),
+        first=-1j * k,
+        second_ordered=-total[0],
+        second_nto=-0.5 * (k @ k),
+        commutator_correction=-0.5 * total[1],
+    )
 
 
 def phase_orthogonality_check(s: Schedule) -> tuple[float, float]:

@@ -143,7 +143,7 @@ def change_representation(
 
 
 def schedule_kick_propagator(s: Schedule) -> np.ndarray:
-    """Ordered rotating-frame propagator of an all-kick schedule."""
+    """Ordered rotating-frame propagator of an all-kick schedule's kicks in [t0, tf]."""
     if s.smooth_pulses():
         raise ValueError("schedule_kick_propagator requires an all-kick schedule")
-    return kick_sequence(s.delta_e, s.pulses)
+    return kick_sequence(s.delta_e, s.kicks())

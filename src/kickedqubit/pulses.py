@@ -168,6 +168,10 @@ class Schedule:
     def smooth_pulses(self) -> tuple[Pulse, ...]:
         return tuple(p for p in self.pulses if not isinstance(p, DeltaKick))
 
+    def kicks(self) -> tuple[DeltaKick, ...]:
+        """The kicks in the closed window [t0, tf], in time order; the rest act on nothing."""
+        return tuple(p for p in self.pulses if isinstance(p, DeltaKick) and self.t0 <= p.t_k <= self.tf)
+
     def has_kicks(self) -> bool:
         return any(isinstance(p, DeltaKick) for p in self.pulses)
 

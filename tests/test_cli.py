@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kickedqubit.cli import main, parse_config_file, parse_pulses
+from kickedqubit.perturbation import TOL_QUAD2
 from kickedqubit.pulses import DeltaKick, Gaussian
 from kickedqubit.su2 import PauliAxis
 
@@ -95,6 +96,26 @@ def test_compare_nto_kick_pair(tmp_path):
     assert data["p2_nto_interaction"] == pytest.approx(math.sin(0.6 * math.sin(0.75)) ** 2, abs=1e-12)
 
 
+def test_compare_nto_kick_outside_the_window_has_no_effect(tmp_path):
+    out = tmp_path / "cmp.json"
+    assert run(["compare-nto", "--delta-e", "1", "--tf", "1", "--pulses", "kick:0.3:5", "-o", out]) == 0
+    data = json.loads(out.read_text())
+    assert data["p2_ordered"] == data["p2_nto_interaction"] == data["p2_nto_schrodinger"] == 0.0
+
+
+MIXED_PULSES = "kick:0.3:1.2; gaussian:0.5:2:0.15:y; kick:0.4:2:y; rect:0.2:0.5:2.5"
+
+
+def test_mixed_schedule_through_compare_nto_and_pert2(tmp_path):
+    base = ["--delta-e", "1", "--tf", "3", "--pulses", MIXED_PULSES]
+    assert run(["compare-nto", *base, "-o", tmp_path / "cmp.json"]) == 0
+    cmp = json.loads((tmp_path / "cmp.json").read_text())
+    assert all(0.0 < cmp[k] < 1.0 for k in ("p2_ordered", "p2_nto_interaction", "p2_nto_schrodinger"))
+    assert run(["pert2", *base, "-o", tmp_path / "pert.json"]) == 0
+    pert = json.loads((tmp_path / "pert.json").read_text())
+    assert pert["identity_residual"] <= TOL_QUAD2
+
+
 def test_map_classify(tmp_path):
     out = tmp_path / "map.json"
     assert run(["map-classify", "--split-phase", "0.01", "--strength-phase", "100", "-o", out]) == 0
@@ -165,10 +186,7 @@ def test_exit_codes(tmp_path):
     assert run(["map-classify", "--split-phase", "abc", "--strength-phase", "1"]) == 2
     # 3: precondition violations inside the library
     assert run(["map-classify", "--split-phase", "-1", "--strength-phase", "1"]) == 3
-    assert (
-        run(["pert2", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1; gaussian:0.5:2:0.2"])
-        == 3
-    )
+    assert run(["evolve", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1"]) == 3
     # 4: unwritable output path
     assert (
         run(["map-classify", "--split-phase", "1", "--strength-phase", "1", "-o", tmp_path / "no" / "dir.json"])

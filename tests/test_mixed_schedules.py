@@ -1,0 +1,119 @@
+"""Properties of schedules that mix delta kicks with smooth pulses.
+
+``propagate`` and ``dyson_second_order`` sweep one time axis in which kicks
+are events. A mixed schedule is checked against the same schedule with every
+kick widened into a narrow Gaussian, which has no events, and the propagator
+against the truncated Dyson series.
+"""
+
+import dataclasses
+import math
+import warnings
+
+import numpy as np
+from hypothesis import assume, given, settings, strategies as st
+
+from kickedqubit.ode import propagate
+from kickedqubit.perturbation import TOL_QUAD2, dyson_second_order
+from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Schedule, pulse_support
+from kickedqubit.su2 import PauliAxis
+
+TF = 3.0
+AXES = st.sampled_from((PauliAxis.X, PauliAxis.Y))
+
+
+def signed(lo, hi):
+    return st.tuples(st.floats(lo, hi), st.sampled_from((-1.0, 1.0))).map(lambda v: v[0] * v[1])
+
+
+# Every support lies in [0.3, 2.7], so a kick widened to a Gaussian of width
+# up to 0.04 stays inside the window [0, 3] wherever it sits on a support.
+GAUSSIANS = st.builds(Gaussian, signed(0.2, 0.5), st.floats(1.2, 1.8), st.floats(0.1, 0.15), AXES)
+RECTANGLES = st.builds(Rectangular, signed(0.2, 0.5), st.floats(0.3, 1.5), st.floats(0.3, 1.0), AXES)
+
+
+@st.composite
+def mixed_schedules(draw, smooth=GAUSSIANS | RECTANGLES):
+    """1-2 smooth pulses, a kick inside the first one's support and maybe one on a support end."""
+    pulses = draw(st.lists(smooth, min_size=1, max_size=2))
+    lo, hi = pulse_support(pulses[0])
+    times = [lo + draw(st.floats(0.1, 0.9)) * (hi - lo)]
+    if draw(st.booleans()):
+        times.append(draw(st.sampled_from([e for p in pulses for e in pulse_support(p)])))
+        # Widened kicks closer than this overlap and converge only once tau resolves the gap.
+        assume(abs(times[1] - times[0]) >= 0.3)
+    kicks = [DeltaKick(draw(signed(0.1, 0.4)), t, draw(AXES)) for t in times]
+    return Schedule(draw(st.floats(0.5, 2.0)), tuple(pulses + kicks), 0.0, TF)
+
+
+def widened(s: Schedule, tau: float) -> Schedule:
+    """``s`` with every kick replaced by a Gaussian of the same area, width ``tau``."""
+    pulses = [Gaussian(p.alpha, p.t_k, tau, p.axis) if isinstance(p, DeltaKick) else p for p in s.pulses]
+    return Schedule(s.delta_e, tuple(pulses), s.t0, s.tf)
+
+
+def scaled(s: Schedule, factor: float) -> Schedule:
+    """``s`` with every pulse area multiplied by ``factor``."""
+    pulses = [dataclasses.replace(p, alpha=factor * p.alpha) for p in s.pulses]
+    return Schedule(s.delta_e, tuple(pulses), s.t0, s.tf)
+
+
+def dyson_pieces(s: Schedule) -> np.ndarray:
+    b = dyson_second_order(s)
+    return np.stack((b.first, b.second_ordered, b.commutator_correction))
+
+
+def smearing_bound(s: Schedule) -> float:
+    """Sum |alpha_k| (delta_e + 2 max|V|) / sqrt(pi): times tau, it bounds what widening the kicks costs.
+
+    Over a Gaussian kick of width tau, |t - t_k| averages tau / sqrt(pi). Meanwhile
+    the rotating axis turns at rate delta_e, and the kick fails to commute with V.
+    """
+    peak = sum(
+        abs(p.alpha) / (math.sqrt(math.pi) * p.tau if isinstance(p, Gaussian) else p.tau)
+        for p in s.smooth_pulses()
+    )
+    return sum(abs(k.alpha) for k in s.kicks()) * (abs(s.delta_e) + 2.0 * peak) / math.sqrt(math.pi)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mixed_schedules())
+def test_dyson_narrow_gaussians_converge_to_kicks(s):
+    # The widening error is linear in tau, about 10x per decade once tau is
+    # small enough that the tau^2 term cannot cancel it.
+    kicked = dyson_pieces(s)
+    coarse, fine = (np.max(np.abs(dyson_pieces(widened(s, tau)) - kicked)) for tau in (1e-3, 1e-4))
+    assert fine <= coarse / 5.0
+
+
+@settings(max_examples=3, deadline=None)
+@given(mixed_schedules(smooth=GAUSSIANS))
+def test_propagate_narrow_gaussians_converge_to_kicks(s):
+    # RK4 at widths fine enough for a clean ratio is slow, so the error is held
+    # to its linear bound instead (0.2 of it at most over 80 draws).
+    # Gaussian smooth pulses only: a Rectangular edge inside an RK4 step
+    # leaves an O(h) error that would hide the convergence.
+    kicked = propagate(s)
+    for tau in (0.04, 0.02):
+        assert np.max(np.abs(propagate(widened(s, tau)) - kicked)) <= smearing_bound(s) * tau
+
+
+@settings(max_examples=4, deadline=None)
+@given(mixed_schedules(smooth=GAUSSIANS))
+def test_mixed_second_order_against_propagate(s):
+    # The truncated series misses U by O(alpha^3): halving every area cuts the
+    # residual about 8x. Gaussian smooth pulses only, for the same reason as above.
+    residuals = []
+    for factor in (1.0, 0.5):
+        run = scaled(s, factor)
+        residuals.append(np.max(np.abs(propagate(run) - dyson_second_order(run).through_second_order())))
+    assert 6.0 <= residuals[0] / residuals[1] <= 10.0
+
+
+@settings(max_examples=10, deadline=None)
+@given(mixed_schedules())
+def test_mixed_identity_holds_and_propagate_warns_nothing(s):
+    assert dyson_second_order(s).identity_residual() <= TOL_QUAD2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        propagate(s)

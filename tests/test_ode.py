@@ -13,7 +13,7 @@ from kickedqubit.ode import (
     propagate,
 )
 from kickedqubit.propagators import change_representation, kick_sequence, single_kick
-from kickedqubit.pulses import DeltaKick, Gaussian, Representation, Schedule
+from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
 from kickedqubit.su2 import ID2, PauliAxis, unitarity_defect
 from kickedqubit.units import preset_2s2p, rabi_period
 
@@ -228,9 +228,31 @@ def test_propagate_narrow_gaussian_approaches_single_kick():
     assert abs(abs(propagate(s)[1, 0]) ** 2 - abs(kick[1, 0]) ** 2) <= 1e-3
 
 
-def test_propagate_rejects_mixed_and_z_axis_schedules():
-    mixed = Schedule(1.0, (DeltaKick(0.3, 1.0), Gaussian(0.2, 2.0, 0.1)), 0.0, 3.0)
-    with pytest.raises(ValueError, match="mixed"):
-        propagate(mixed)
+def test_propagate_kick_outside_the_window_is_the_identity():
+    # Only kicks in [t0, tf] act, as in the NTO time average.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = Schedule(1.0, (DeltaKick(0.3, 5.0),), 0.0, 1.0)
+    np.testing.assert_array_equal(propagate(s), ID2)
+
+
+def test_propagate_mixed_schedule_is_the_product_of_its_pieces():
+    # The kick splits the window; either side is an ordinary smooth run, and
+    # the first side is driven by the Gaussian alone.
+    smooth = (Gaussian(0.4, 1.5, 0.2), Rectangular(0.3, 2.0, 0.5))
+    kick = DeltaKick(0.3, 1.4, PauliAxis.Y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        pieces = [Schedule(1.0, smooth, a, b) for a, b in ((0.0, 1.4), (1.4, 3.0))]
+    full = Schedule(1.0, (*smooth, kick), 0.0, 3.0)
+    dt = default_step(full)
+    before, after = (
+        evolve(p, IntegratorConfig(dt, Representation.INTERACTION, 10**6)).propagators[-1] for p in pieces
+    )
+    expected = after @ single_kick(1.0, kick) @ before
+    np.testing.assert_allclose(propagate(full), expected, atol=1e-15)
+
+
+def test_propagate_rejects_z_axis_kicks():
     with pytest.raises(ValueError, match="sigma_x or sigma_y"):
         propagate(Schedule(1.0, (DeltaKick(0.3, 1.0, PauliAxis.Z),), 0.0, 3.0))

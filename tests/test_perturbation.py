@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,10 +145,14 @@ def test_quadrature_path_against_brute_force_nested_quadrature(s):
     assert np.max(np.abs(brute - b.second_ordered)) < 1e-7
 
 
-def test_mixed_schedules_rejected():
-    s = Schedule(1.0, (DeltaKick(0.3, 1.0), Gaussian(0.5, 2.0, 0.15)), 0.0, 3.0)
-    with pytest.raises(ValueError, match="mixed"):
-        dyson_second_order(s)
+def test_kick_outside_the_window_contributes_nothing():
+    # Only kicks in [t0, tf] act, as in the NTO time average.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = Schedule(1.0, (DeltaKick(0.3, 5.0),), 0.0, 1.0)
+    b = dyson_second_order(s)
+    assert np.max(np.abs(b.first)) == 0.0
+    assert np.max(np.abs(b.second_ordered)) == 0.0
 
 
 def test_symmetric_half_equals_unordered_square():
