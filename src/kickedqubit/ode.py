@@ -1,4 +1,4 @@
-"""Fixed-step RK4 integration of the two-state equations.
+"""Fixed-step RK4 integration of the two-state equations, for any schedule.
 
 Finite-width pulses are integrated either in the Schrodinger picture,
 
@@ -9,28 +9,30 @@ or in the interaction picture, i da/dt = V_I(t) a, with V_I the rotated
 coupling. The step is fixed (no adaptivity) so repeated runs are
 bit-reproducible; convergence is checked by step halving.
 
-Delta kicks have no pointwise field, so :func:`evolve` rejects them.
-:func:`propagate` takes any schedule: it splits the window at the kick
-times, runs :func:`evolve` on the smooth pieces between them and applies the
-kicks' closed form from :mod:`kickedqubit.propagators` at each split.
+:func:`evolve` cuts the window where V is not smooth: at the delta kicks,
+which act there through their closed form from
+:mod:`kickedqubit.propagators`, and at the edges of rectangular pulses, so
+no RK4 step straddles a jump. :func:`propagate` is its final value.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import groupby
 
 import numpy as np
 
 from .propagators import kick_sequence, nto_propagator
-from .pulses import (
-    Gaussian, Rectangular, Representation, Schedule, interaction_potential, pulse_support, schrodinger_hamiltonian
-)
+from .pulses import Gaussian, Rectangular, Representation, Schedule, coupling_at, pulse_support
+from .su2 import SIGMA_Z
 from .units import rabi_period
 
 MAX_STEPS = 10**9
+# Cap on the states one evolve may record (steps / record_every). Each peaks at
+# about 340 bytes (the Python lists plus the final arrays): 10^6 is ~0.35 GB.
+MAX_RECORDS = 10**6
 
 
 @dataclass(frozen=True)
@@ -74,84 +76,85 @@ def default_step(s: Schedule) -> float:
     return dt
 
 
-def _generator(s: Schedule, rep: Representation):
-    if rep is Representation.SCHRODINGER:
-        return lambda t: schrodinger_hamiltonian(s, t)
-    return lambda t: interaction_potential(s, t)
-
-
 def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
-    """RK4 propagator U(t, t0) from t0 to tf, recorded every ``cfg.record_every`` steps and at tf.
+    """RK4 propagator U(t, t0) from t0 to tf, recorded every ``cfg.record_every`` steps and at each cut.
 
-    The two canonical basis columns are advanced together as a 2x2 matrix
-    (one Hamiltonian evaluation serves both), which is the same arithmetic
-    as integrating each column independently; column j of U is the state
-    that starts in level j + 1. U is never renormalized: its unitarity
-    defect at tf is the standard integration diagnostic.
+    The window is cut at the times of :meth:`Schedule.kicks` and at the
+    rectangular-pulse edges inside it. Each piece takes ceil(length / dt)
+    equal steps, ends on its cut and samples only the pulses whose support
+    overlaps it, once per node and midpoint. The kicks at a cut act through
+    :func:`kick_sequence` (unrotated in the Schrodinger picture) before U is
+    recorded there. In the interaction picture U is carried unchanged across
+    a piece that no support overlaps.
+
+    Both basis columns advance together as a 2x2 matrix; column j of U is
+    the state that starts in level j + 1. U is never renormalized: its
+    unitarity defect at tf is the standard integration diagnostic.
     """
-    if s.has_kicks():
-        raise ValueError("delta kicks cannot be integrated; use the kick propagators")
-
     tau_min, period = fastest_scales(s)
     threshold = min(tau_min / 20.0, period / 200.0)
     if cfg.dt > threshold:
-        warnings.warn(
-            f"dt = {cfg.dt:g} does not resolve the fastest scale "
-            f"(warning threshold {threshold:g})",
-            stacklevel=2,
-        )
+        warnings.warn(f"dt = {cfg.dt:g} does not resolve the fastest scale (warning threshold {threshold:g})",
+                      stacklevel=2)
 
-    n_steps = max(1, math.ceil(s.duration() / cfg.dt))
+    kicks = {t: tuple(group) for t, group in groupby(s.kicks(), key=lambda kick: kick.t_k)}
+    edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
+    bounds = [s.t0, *sorted(t for t in edges | kicks.keys() if s.t0 < t < s.tf), s.tf]
+    pieces = [(a, b, max(1, math.ceil((b - a) / cfg.dt))) for a, b in zip(bounds, bounds[1:])]
+    n_steps = sum(n for _, _, n in pieces)
     if n_steps > MAX_STEPS:
         raise ValueError(f"{n_steps} steps exceed the {MAX_STEPS} step limit")
-    h = s.duration() / n_steps
+    every = cfg.record_every
+    if n_steps // every > MAX_RECORDS:
+        raise ValueError(f"{n_steps // every} recorded states exceed the {MAX_RECORDS} record limit")
 
-    gen = _generator(s, cfg.representation)
-    u = np.eye(2, dtype=complex)
-    times = [s.t0]
-    propagators = [u]
-    t = s.t0
-    for step in range(1, n_steps + 1):
-        k1 = -1j * (gen(t) @ u)
-        mid = gen(t + 0.5 * h)
-        k2 = -1j * (mid @ (u + 0.5 * h * k1))
-        k3 = -1j * (mid @ (u + 0.5 * h * k2))
-        # Not the next step's gen(t): t + h and t0 + step * h round differently.
-        k4 = -1j * (gen(t + h) @ (u + h * k3))
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = s.t0 + step * h
-        if step % cfg.record_every == 0 or step == n_steps:
-            times.append(t)
-            propagators.append(u)
+    schrodinger = cfg.representation is Representation.SCHRODINGER
+    h0 = -0.5 * s.delta_e * SIGMA_Z
+    frame = 0.0 if schrodinger else s.delta_e
+    supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
+    u = kick_sequence(frame, kicks.get(s.t0, ()))
+    times, propagators = [s.t0], [u]
+    done = 0
+    for a, b, n in pieces:
+        h = (b - a) / n
+        active = [p for p, lo, hi in supports if lo < b and hi > a]
+        stepping = schrodinger or bool(active)
+
+        def sample(t: float) -> np.ndarray:
+            v = coupling_at(s.delta_e, active, t, cfg.representation)
+            return v + h0 if schrodinger else v
+
+        if stepping:
+            t, g0 = a, sample(a)
+        # A piece without RK4 arithmetic visits only the nodes it records.
+        for k in range(1, n + 1) if stepping else [*range(every - done % every, n, every), n]:
+            end = b if k == n else a + k * h
+            if stepping:
+                mid = sample(t + 0.5 * h)
+                g1 = sample(end)
+                k1 = -1j * (g0 @ u)
+                k2 = -1j * (mid @ (u + 0.5 * h * k1))
+                k3 = -1j * (mid @ (u + 0.5 * h * k2))
+                k4 = -1j * (g1 @ (u + h * k3))
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t, g0 = end, g1
+            if k == n and b in kicks:
+                u = kick_sequence(frame, kicks[b]) @ u
+            if (done + k) % every == 0 or k == n:
+                times.append(end)
+                propagators.append(u)
+        done += n
     if not np.all(np.isfinite(u)):
         raise FloatingPointError(f"RK4 propagator is not finite at h = {h:g}; the step is unstable")
     return Trajectory(np.array(times), np.array(propagators))
 
 
 def propagate(s: Schedule) -> np.ndarray:
-    """Time-ordered rotating-frame propagator of ``s`` over [t0, tf], for any schedule.
+    """Time-ordered rotating-frame propagator of ``s`` over [t0, tf]: the final value of :func:`evolve`.
 
-    The window is split at the times of :meth:`Schedule.kicks`. Each piece
-    that a smooth support overlaps is integrated by RK4 in the interaction
-    picture at :func:`default_step` of the whole schedule, and the kicks at
-    each split are applied by :func:`kick_sequence`. Interaction-picture
-    propagators compose, so the product is the propagator of the window.
+    Any schedule, integrated in the interaction picture at :func:`default_step`.
     """
-    cfg = IntegratorConfig(default_step(s), Representation.INTERACTION, record_every=10**6)
-    smooth = s.smooth_pulses()
-    splits = [(t, tuple(kicks)) for t, kicks in groupby(s.kicks(), key=lambda kick: kick.t_k)]
-    u = np.eye(2, dtype=complex)
-    start = s.t0
-    for end, kicks in splits + [(s.tf, ())]:
-        if end > start and any(lo < end and hi > start for lo, hi in map(pulse_support, smooth)):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # pieces clip pulse supports by design
-                piece = Schedule(s.delta_e, smooth, start, end)
-            u = evolve(piece, cfg).propagators[-1] @ u
-        if kicks:
-            u = kick_sequence(s.delta_e, kicks) @ u
-        start = end
-    return u
+    return evolve(s, IntegratorConfig(default_step(s), Representation.INTERACTION, record_every=10**6)).propagators[-1]
 
 
 def evolve_nto_reference(
@@ -186,10 +189,7 @@ def convergence_check(s: Schedule, cfg: IntegratorConfig) -> tuple[float, float,
     floor (pulse-free runs, or dt already converged past double precision)
     the ratio is flagged as NaN rather than reported as noise.
     """
-    p2 = []
-    for divisor in (1, 2, 4):
-        run_cfg = IntegratorConfig(cfg.dt / divisor, cfg.representation, cfg.record_every)
-        p2.append(evolve(s, run_cfg).probabilities()[-1, 1])
+    p2 = [evolve(s, replace(cfg, dt=cfg.dt / divisor)).probabilities()[-1, 1] for divisor in (1, 2, 4)]
     coarse = p2[0] - p2[1]
     fine = p2[1] - p2[2]
     floor = 1e-13

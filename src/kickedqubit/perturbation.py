@@ -30,10 +30,10 @@ import numpy as np
 from .pulses import (
     Representation,
     Schedule,
+    coupling_at,
     pulse_coupling_integral,
     pulse_support,
     rotated_axis_matrix,
-    value_at,
 )
 from .quadrature import adaptive_simpson
 from .su2 import ID2
@@ -105,7 +105,7 @@ def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
         if active:
 
             def integrand(t: float) -> np.ndarray:
-                v = sum(value_at(p, t) * rotated_axis_matrix(s.delta_e, t, p.axis) for p in active)
+                v = coupling_at(s.delta_e, active, t, Representation.INTERACTION)
                 kt = k + sum(pulse_coupling_integral(p, s.delta_e, a, t, Representation.INTERACTION) for p in active)
                 vk = v @ kt
                 return np.stack((vk, vk - kt @ v))

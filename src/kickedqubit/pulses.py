@@ -172,9 +172,6 @@ class Schedule:
         """The kicks in the closed window [t0, tf], in time order; the rest act on nothing."""
         return tuple(p for p in self.pulses if isinstance(p, DeltaKick) and self.t0 <= p.t_k <= self.tf)
 
-    def has_kicks(self) -> bool:
-        return any(isinstance(p, DeltaKick) for p in self.pulses)
-
     def duration(self) -> float:
         return self.tf - self.t0
 
@@ -199,24 +196,25 @@ def rotated_axis_matrix(delta_e: float, t: float, axis: PauliAxis) -> np.ndarray
     return pauli(PauliAxis.Z)
 
 
+def coupling_at(delta_e: float, pulses: list[Pulse] | tuple[Pulse, ...], t: float, rep: Representation) -> np.ndarray:
+    """Pointwise coupling sum_p V_p(t) sigma_axis, rotated to t in the interaction picture; kicks raise."""
+    v = np.zeros((2, 2), dtype=complex)
+    for p in pulses:
+        amp = value_at(p, t)
+        if amp != 0.0:
+            axis = rotated_axis_matrix(delta_e, t, p.axis) if rep is Representation.INTERACTION else pauli(p.axis)
+            v = v + amp * axis
+    return v
+
+
 def schrodinger_hamiltonian(s: Schedule, t: float) -> np.ndarray:
     """H(t) = -(delta_e/2) sigma_z + sum_p V_p(t) sigma_axis."""
-    h = -0.5 * s.delta_e * SIGMA_Z.copy()
-    for p in s.pulses:
-        v = value_at(p, t)
-        if v != 0.0:
-            h = h + v * pauli(p.axis)
-    return h
+    return -0.5 * s.delta_e * SIGMA_Z + coupling_at(s.delta_e, s.pulses, t, Representation.SCHRODINGER)
 
 
 def interaction_potential(s: Schedule, t: float) -> np.ndarray:
     """Rotating-frame coupling: sum_p V_p(t) * rotated sigma_axis at time t."""
-    v = np.zeros((2, 2), dtype=complex)
-    for p in s.pulses:
-        amp = value_at(p, t)
-        if amp != 0.0:
-            v = v + amp * rotated_axis_matrix(s.delta_e, t, p.axis)
-    return v
+    return coupling_at(s.delta_e, s.pulses, t, Representation.INTERACTION)
 
 
 def _weideman_coefficients(n: int) -> tuple[float, list[float]]:

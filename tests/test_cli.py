@@ -116,6 +116,26 @@ def test_mixed_schedule_through_compare_nto_and_pert2(tmp_path):
     assert pert["identity_residual"] <= TOL_QUAD2
 
 
+@pytest.mark.parametrize("representation", ["schrodinger", "interaction"])
+def test_evolve_records_a_mixed_schedule(tmp_path, representation):
+    out = tmp_path / "mixed.csv"
+    argv = ["evolve", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1; gaussian:0.5:2:0.15:y",
+            "--representation", representation, "--record-every", "50", "-o", out]
+    assert run(argv) == 0
+    _, rows, _ = read_csv(out)
+    times = [r[0] for r in rows]
+    assert 1.0 in times and times[-1] == 3.0
+    # The kick at t = 1 transfers sin^2(0.3) before the Gaussian arrives.
+    assert rows[times.index(1.0)][2] == pytest.approx(math.sin(0.3) ** 2, abs=1e-12)
+    assert all(abs(r[1] + r[2] - 1.0) < 1e-8 for r in rows)
+
+
+def test_evolve_recording_cap_exits_3(capsys):
+    # 10^8 recorded states: rejected by the bound before any step is taken.
+    assert run(["evolve", "--delta-e", "1", "--tf", "1", "--dt", "1e-8"]) == 3
+    assert "record limit" in capsys.readouterr().err
+
+
 def test_map_classify(tmp_path):
     out = tmp_path / "map.json"
     assert run(["map-classify", "--split-phase", "0.01", "--strength-phase", "100", "-o", out]) == 0
@@ -184,9 +204,11 @@ def test_exit_codes(tmp_path):
     assert run(["compare-nto", "--delta-e", "1", "--pulses", "blob:1:2"]) == 2
     # 2: invalid numeric field
     assert run(["map-classify", "--split-phase", "abc", "--strength-phase", "1"]) == 2
+    # 0: evolve records across kick times
+    assert run(["evolve", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1", "-o", tmp_path / "kick.csv"]) == 0
     # 3: precondition violations inside the library
     assert run(["map-classify", "--split-phase", "-1", "--strength-phase", "1"]) == 3
-    assert run(["evolve", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1"]) == 3
+    assert run(["evolve", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1:z"]) == 3
     # 4: unwritable output path
     assert (
         run(["map-classify", "--split-phase", "1", "--strength-phase", "1", "-o", tmp_path / "no" / "dir.json"])

@@ -1,9 +1,10 @@
 """Properties of schedules that mix delta kicks with smooth pulses.
 
-``propagate`` and ``dyson_second_order`` sweep one time axis in which kicks
-are events. A mixed schedule is checked against the same schedule with every
-kick widened into a narrow Gaussian, which has no events, and the propagator
-against the truncated Dyson series.
+``evolve`` (and so ``propagate``) and ``dyson_second_order`` sweep one time
+axis in which kicks are events. A mixed schedule is checked against the same
+schedule with every kick widened into a narrow Gaussian, which has no events,
+the propagator against the truncated Dyson series, and the Schrodinger-picture
+trajectory against the interaction-picture one.
 """
 
 import dataclasses
@@ -13,9 +14,10 @@ import warnings
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from kickedqubit.ode import propagate
+from kickedqubit.ode import IntegratorConfig, default_step, evolve, propagate
 from kickedqubit.perturbation import TOL_QUAD2, dyson_second_order
-from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Schedule, pulse_support
+from kickedqubit.propagators import change_representation
+from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule, pulse_support
 from kickedqubit.su2 import PauliAxis
 
 TF = 3.0
@@ -117,3 +119,16 @@ def test_mixed_identity_holds_and_propagate_warns_nothing(s):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         propagate(s)
+
+
+@settings(max_examples=15, deadline=None)
+@given(mixed_schedules())
+def test_evolve_agrees_across_pictures(s):
+    # Kicks act unrotated in the Schrodinger picture and rotated in the
+    # interaction picture; the free evolution between them maps one onto the other.
+    dt = default_step(s)
+    finals = {rep: evolve(s, IntegratorConfig(dt, rep, 10**6)).propagators[-1] for rep in Representation}
+    converted = change_representation(
+        finals[Representation.SCHRODINGER], s.delta_e, s.tf, s.t0, Representation.INTERACTION
+    )
+    assert np.max(np.abs(converted - finals[Representation.INTERACTION])) <= 1e-8

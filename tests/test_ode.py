@@ -67,32 +67,71 @@ def test_narrow_gaussian_reaches_kick_limit():
     assert abs(traj.probabilities()[-1, 1] - 1.0) < 1e-3
 
 
-def test_rejects_kicks():
-    s = Schedule(1.0, (DeltaKick(0.3, 0.5),), 0.0, 1.0)
-    with pytest.raises(ValueError, match="kick"):
-        evolve(s, IntegratorConfig(0.01))
+def test_evolve_records_the_kick_products_at_kick_times():
+    # Schedule sorts stably, so the simultaneous kicks keep their given order.
+    # The kicks on the window ends act before U is recorded there too.
+    kicks = (DeltaKick(0.2, 3.0), DeltaKick(0.1, 1.0), DeltaKick(0.3, 1.0, PauliAxis.Y), DeltaKick(0.4, 0.0),
+             DeltaKick(-0.5, 4.0, PauliAxis.Y))
+    s = Schedule(0.8, kicks, 0.0, 4.0)
+    traj = evolve(s, IntegratorConfig(0.01, Representation.INTERACTION, 10**6))
+    np.testing.assert_array_equal(traj.times, [0.0, 1.0, 3.0, 4.0])
+    in_order = [kicks[3], kicks[1], kicks[2], kicks[0], kicks[4]]
+    expected = [kick_sequence(0.8, in_order[:n]) for n in (1, 3, 4, 5)]
+    np.testing.assert_array_equal(traj.propagators, expected)
 
 
-def test_rk4_step_samples_the_generator_three_times(monkeypatch):
-    # One sample at t, one shared by both midpoint stages, one at t + h.
-    from kickedqubit.pulses import interaction_potential
+def test_rk4_step_samples_the_coupling_twice_plus_one(monkeypatch):
+    # Each node is sampled once, its value shared by the steps on either side,
+    # plus one sample per step shared by both midpoint stages.
+    from kickedqubit.pulses import coupling_at
 
     calls = []
 
-    def counting(s, t):
-        calls.append(t)
-        return interaction_potential(s, t)
+    def counting(*args):
+        calls.append(args[2])
+        return coupling_at(*args)
 
-    monkeypatch.setattr("kickedqubit.ode.interaction_potential", counting)
+    monkeypatch.setattr("kickedqubit.ode.coupling_at", counting)
     s = Schedule(0.5, (Gaussian(0.5, 8.0, 1.25),), 0.0, 16.0)
     evolve(s, IntegratorConfig(0.0625, Representation.INTERACTION))
-    assert len(calls) == 3 * 256
+    assert len(calls) == 2 * 256 + 1
+
+
+def test_schrodinger_picture_kick_is_unrotated():
+    # A lone kick at t_k in the Schrodinger picture is exp(-i alpha sigma_axis)
+    # between free evolutions, which change_representation maps to the rotated kick.
+    kick = DeltaKick(0.7, 1.3, PauliAxis.Y)
+    s = Schedule(0.9, (kick,), 0.0, 2.0)
+    u = evolve(s, IntegratorConfig(default_step(s), Representation.SCHRODINGER, 10**6)).propagators[-1]
+    converted = change_representation(u, s.delta_e, s.tf, s.t0, Representation.INTERACTION)
+    np.testing.assert_allclose(converted, single_kick(s.delta_e, kick), atol=1e-8)
+
+
+def test_rectangular_pulse_converges_at_fourth_order():
+    # Cuts at the pulse edges keep every RK4 step on a smooth piece.
+    s = Schedule(1.0, (Rectangular(-0.5, 1.0, 1.0),), 0.0, 3.0)
+    dt = default_step(s)
+    _, _, ratio = convergence_check(s, IntegratorConfig(dt, Representation.INTERACTION, 10**6))
+    assert 8.0 <= ratio <= 32.0
+    coarse, fine = (
+        evolve(s, IntegratorConfig(step, Representation.INTERACTION, 10**6)).propagators[-1] for step in (dt, dt / 64)
+    )
+    assert np.max(np.abs(coarse - fine)) <= 1e-9
 
 
 def test_step_overflow_guard():
     s = Schedule(1.0, (), 0.0, 1.0)
     with pytest.raises(ValueError, match="step limit"):
         evolve(s, IntegratorConfig(1e-10))
+
+
+def test_recording_cap_is_checked_before_stepping(monkeypatch):
+    # The bound alone decides: 100 steps make 100 records at record_every 1, 10 at 10.
+    monkeypatch.setattr("kickedqubit.ode.MAX_RECORDS", 10)
+    s = Schedule(1.0, (), 0.0, 1.0)
+    with pytest.raises(ValueError, match="record limit"):
+        evolve(s, IntegratorConfig(0.01, Representation.INTERACTION))
+    assert len(evolve(s, IntegratorConfig(0.01, Representation.INTERACTION, 10)).times) == 11
 
 
 def test_warns_when_step_does_not_resolve_pulse():
