@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ode import evolve_nto_reference, propagate
+from .ode import IntegratorConfig, default_step, evolve, evolve_nto_reference, propagate
 from .propagators import nto_propagator
-from .pulses import Gaussian, Representation, Schedule, pulse_support
+from .pulses import DeltaKick, Gaussian, Representation, Schedule
 from .su2 import PauliAxis
 
 TWO_PI = 2.0 * math.pi
@@ -182,10 +182,10 @@ def observation_time_scan(
 ) -> list[ObservationRow]:
     """Transfer probabilities versus observation time for one Gaussian pulse.
 
-    The ordered (rotating-frame) propagator is constant once the pulse
-    support has passed, so a single integration to the end of the support
-    serves every later grid point; observation times inside the pulse are
-    integrated individually. The NTO columns come from
+    The ordered (rotating-frame) column comes from one interaction-picture
+    :func:`~kickedqubit.ode.evolve` over [0, max tf], which records
+    U(tf, 0) at every observation time; beyond the pulse support it is
+    exactly constant. The NTO columns come from
     :func:`~kickedqubit.ode.evolve_nto_reference` on the window-truncated
     mean coupling, which damps in the Schrodinger picture as the average
     field shrinks against the splitting, but settles to a constant in the
@@ -196,21 +196,23 @@ def observation_time_scan(
         raise ValueError("observation-time grid must be strictly ascending")
     if any(t <= t_k for t in tf_grid):
         raise ValueError("observation times must lie beyond the pulse center t_k")
+    if any(t <= 0.0 for t in tf_grid):
+        raise ValueError("observation times must lie after t0 = 0")
     if not tf_grid:
         return []
 
-    support_end = pulse_support(Gaussian(alpha, t_k, tau, PauliAxis.X))[1]
-    ends = [min(tf, support_end) for tf in tf_grid]
-    ordered = {}
-    for end in ends:
-        if end not in ordered:
-            s = _gaussian_schedule(delta_e, alpha, t_k, tau, end)
-            ordered[end] = float(abs(propagate(s)[1, 0]) ** 2)
-    # No window above is longer than this one, so it is valid too.
     window = _gaussian_schedule(delta_e, alpha, t_k, tau, tf_grid[-1])
+    # Zero-area kicks are exactly the identity, but evolve cuts its step grid
+    # at every kick time and records U there, on the grid value itself.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # wide pulses may overhang t0 = 0
+        marked = Schedule(delta_e, window.pulses + tuple(DeltaKick(0.0, tf) for tf in tf_grid), 0.0, tf_grid[-1])
+    run = evolve(marked, IntegratorConfig(default_step(marked), Representation.INTERACTION, 10**6))
+    # Rows by time: a run longer than record_every steps records more rows.
+    ordered = dict(zip(run.times.tolist(), np.abs(run.propagators[:, 1, 0]) ** 2))
     schrodinger = evolve_nto_reference(window, Representation.SCHRODINGER, tf_grid)
     interaction = evolve_nto_reference(window, Representation.INTERACTION, tf_grid)
     return [
-        ObservationRow(tf, ordered[end], p2_s, p2_i)
-        for tf, end, (_, p2_s), (_, p2_i) in zip(tf_grid, ends, schrodinger, interaction)
+        ObservationRow(tf, float(ordered[tf]), p2_s, p2_i)
+        for tf, (_, p2_s), (_, p2_i) in zip(tf_grid, schrodinger, interaction)
     ]

@@ -19,6 +19,7 @@ axes couple the two levels, so a z-axis kick is rejected here.
 from __future__ import annotations
 
 import math
+from itertools import groupby
 
 import numpy as np
 
@@ -49,19 +50,12 @@ def kick_sequence(delta_e: float, kicks: list[DeltaKick] | tuple[DeltaKick, ...]
     for a, b in zip(kicks, kicks[1:]):
         if b.t_k < a.t_k:
             raise ValueError("kicks must be sorted by time ascending")
+    if any(k.axis is PauliAxis.Z for k in kicks):
+        raise ValueError("kicks couple through sigma_x or sigma_y only")
     u = ID2.copy()
-    i = 0
-    while i < len(kicks):
-        j = i
-        generator = np.zeros((2, 2), dtype=complex)
-        while j < len(kicks) and kicks[j].t_k == kicks[i].t_k:
-            k = kicks[j]
-            if k.axis is PauliAxis.Z:
-                raise ValueError("kicks couple through sigma_x or sigma_y only")
-            generator = generator + k.alpha * rotated_axis_matrix(delta_e, k.t_k, k.axis)
-            j += 1
-        u = exp_minus_i_generator(generator) @ u
-        i = j
+    for _, group in groupby(kicks, key=lambda kick: kick.t_k):
+        terms = (k.alpha * rotated_axis_matrix(delta_e, k.t_k, k.axis) for k in group)
+        u = exp_minus_i_generator(sum(terms, np.zeros((2, 2), dtype=complex))) @ u
     return u
 
 

@@ -209,6 +209,7 @@ def test_exit_codes(tmp_path):
     # 3: precondition violations inside the library
     assert run(["map-classify", "--split-phase", "-1", "--strength-phase", "1"]) == 3
     assert run(["evolve", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1:z"]) == 3
+    assert run(["obs-time", "--delta-e", "1", "--t-k", "-5", "--tau", "2", "--tf-grid", "-1 2"]) == 3
     # 4: unwritable output path
     assert (
         run(["map-classify", "--split-phase", "1", "--strength-phase", "1", "-o", tmp_path / "no" / "dir.json"])
@@ -358,6 +359,14 @@ def test_obs_time_tf_count_two_gives_one_row(tmp_path):
     assert run(["obs-time", "--delta-e", "1", "--t-k", "0", "--tau", "1", "--tf-count", "2", "-o", out]) == 0
     _, rows, _ = read_csv(out)
     assert [r[0] for r in rows] == [6.0 * math.pi]
+
+
+def test_obs_time_pulse_ending_before_t0_transfers_nothing(tmp_path):
+    # The window [0, tf] truncates the pulse on [-8, -2] to nothing.
+    out = tmp_path / "obs.csv"
+    assert run(["obs-time", "--delta-e", "1", "--t-k", "-5", "--tau", "0.5", "--tf-grid", "1 2", "-o", out]) == 0
+    _, rows, _ = read_csv(out)
+    assert [r[:2] for r in rows] == [[1.0, 0.0], [2.0, 0.0]]
 
 
 @pytest.mark.parametrize(

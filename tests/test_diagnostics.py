@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+import kickedqubit.diagnostics as diagnostics
 from kickedqubit.diagnostics import (
     MapRegime,
     classify_regime,
@@ -15,7 +16,9 @@ from kickedqubit.diagnostics import (
     p2_nto,
     p2_ordered,
 )
+from kickedqubit.ode import IntegratorConfig, propagate
 from kickedqubit.propagators import nto_opposite_pair, opposite_kick_pair
+from kickedqubit.pulses import Gaussian, Schedule, pulse_support
 from kickedqubit.units import delta_e_from_ev, preset_2s2p, rabi_period
 
 
@@ -165,6 +168,8 @@ def test_observation_scan_grid_validation():
         observation_time_scan(1.0, 0.5, 10.0, 1.0, [30.0, 20.0])
     with pytest.raises(ValueError, match="beyond"):
         observation_time_scan(1.0, 0.5, 10.0, 1.0, [5.0, 20.0])
+    with pytest.raises(ValueError, match="after t0"):
+        observation_time_scan(1.0, 0.5, -5.0, 2.0, [-1.0, 2.0])
 
 
 def test_observation_scan_columns():
@@ -182,6 +187,53 @@ def test_observation_scan_columns():
     assert max(interaction) - min(interaction) < 1e-10
     # Schrodinger NTO damps: the tail is well below the early values
     assert schrod[-1] < 0.5 * max(schrod)
+
+
+def cli_default_grid(delta_e, t_k):
+    return np.linspace(t_k, t_k + 3.0 * rabi_period(delta_e), 200)[1:]
+
+
+def truncated_ordered(delta_e, alpha, t_k, tau, tf):
+    """The scan's former ordered route, kept as an oracle: its own propagate from t0 = 0 to min(tf, support end)."""
+    pulse = Gaussian(alpha, t_k, tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # wide pulses overhang t0 = 0
+        s = Schedule(delta_e, (pulse,), 0.0, min(tf, pulse_support(pulse)[1]))
+    return float(abs(propagate(s)[1, 0]) ** 2)
+
+
+@pytest.mark.parametrize("tau", [4.73, 18.92, 200.0])
+def test_observation_scan_ordered_column_against_truncated_propagate(tau):
+    t_k = 150.0
+    delta_e = preset_2s2p(9.46).delta_e
+    rows = observation_time_scan(delta_e, math.pi / 2, t_k, tau, cli_default_grid(delta_e, t_k))
+    for r in rows[::20]:
+        assert abs(r.p2_ordered - truncated_ordered(delta_e, math.pi / 2, t_k, tau, r.tf)) <= 1e-10
+
+
+def test_observation_scan_runs_one_trajectory(monkeypatch):
+    calls = dict.fromkeys(("evolve", "propagate"), 0)
+    for name in calls:
+
+        def counting(*args, name=name, original=getattr(diagnostics, name)):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(diagnostics, name, counting)
+    t_k = 150.0
+    delta_e = preset_2s2p(9.46).delta_e
+    observation_time_scan(delta_e, math.pi / 2, t_k, 9.46, cli_default_grid(delta_e, t_k))
+    assert calls == {"evolve": 1, "propagate": 0}
+
+
+def test_observation_scan_reads_rows_by_time(monkeypatch):
+    # Recording every 7th step as well leaves the rows at the observation times unchanged.
+    t_k = 150.0
+    delta_e = preset_2s2p(9.46).delta_e
+    grid = cli_default_grid(delta_e, t_k)[::10]
+    expected = observation_time_scan(delta_e, math.pi / 2, t_k, 9.46, grid)
+    monkeypatch.setattr(diagnostics, "IntegratorConfig", lambda dt, rep, every: IntegratorConfig(dt, rep, 7))
+    assert observation_time_scan(delta_e, math.pi / 2, t_k, 9.46, grid) == expected
 
 
 def test_preset_round_trip():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -132,6 +133,19 @@ def test_recording_cap_is_checked_before_stepping(monkeypatch):
     with pytest.raises(ValueError, match="record limit"):
         evolve(s, IntegratorConfig(0.01, Representation.INTERACTION))
     assert len(evolve(s, IntegratorConfig(0.01, Representation.INTERACTION, 10)).times) == 11
+
+
+def test_recording_peaks_near_the_bytes_of_its_arrays():
+    # A float64 time and a complex 2x2 U are 72 bytes a record, written into preallocated arrays.
+    s = Schedule(1.0, (), 0.0, 1.0)
+    tracemalloc.start()
+    try:
+        traj = evolve(s, IntegratorConfig(5e-4, Representation.SCHRODINGER))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(traj.times) == 2001
+    assert peak / len(traj.times) <= 100
 
 
 def test_warns_when_step_does_not_resolve_pulse():
