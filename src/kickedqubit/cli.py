@@ -222,7 +222,7 @@ def write_table(args, opts, header: list[str], rows, comments: dict) -> None:
     lines = [f"# {k} = {v}" for k, v in sorted(comments.items())]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join([repr(v) if type(v) is float else _fmt(v) for v in row]))
     _write(args.output, "\n".join(lines) + "\n")
 
 
@@ -274,8 +274,7 @@ def cmd_evolve(args, opts) -> None:
     record_every = _as_int(_merged(args, opts, "record-every", 1), "record-every")
     cfg = IntegratorConfig(dt, rep, record_every)
     traj = evolve(s, cfg)
-    probs = traj.probabilities()
-    rows = [(float(t), float(p[0]), float(p[1])) for t, p in zip(traj.times, probs)]
+    rows = np.column_stack((traj.times, traj.probabilities())).tolist()
     comments = _resolved_comment(args, opts)
     comments["dt"] = _fmt(dt)
     comments["representation"] = rep.value

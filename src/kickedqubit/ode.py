@@ -13,6 +13,9 @@ bit-reproducible; convergence is checked by step halving.
 which act there through their closed form from
 :mod:`kickedqubit.propagators`, and at the edges of rectangular pulses, so
 no RK4 step straddles a jump. :func:`propagate` is its final value.
+
+:func:`evolve` builds the RK4 step matrices of :data:`CHUNK` steps at once in
+numpy; only their product onto U runs step by step, on Python complex scalars.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from itertools import groupby
 import numpy as np
 
 from .propagators import kick_sequence, nto_propagator
-from .pulses import Gaussian, Rectangular, Representation, Schedule, coupling_at, pulse_support
+from .pulses import Gaussian, Rectangular, Representation, Schedule, coupling_samples, pulse_support
 from .su2 import SIGMA_Z
 from .units import rabi_period
 
@@ -33,6 +36,7 @@ MAX_STEPS = 10**9
 # Cap on the states one evolve may record (steps / record_every). Each takes
 # 72 bytes (a float64 time and a complex 2x2 U, preallocated): 10^6 is ~72 MB.
 MAX_RECORDS = 10**6
+CHUNK = 1024  # steps whose RK4 step matrices are built at once: a workspace of under 1 MB
 
 
 @dataclass(frozen=True)
@@ -44,7 +48,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.dt > 0.0 and math.isfinite(self.dt)):
             raise ValueError(f"step size must be positive and finite, got {self.dt!r}")
-        if self.record_every < 1:
+        if type(self.record_every) is not int or self.record_every < 1:  # bool is an int subclass
             raise ValueError("record_every must be a positive integer")
 
 
@@ -81,11 +85,11 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
 
     The window is cut at the times of :meth:`Schedule.kicks` and at the
     rectangular-pulse edges inside it. Each piece takes ceil(length / dt)
-    equal steps, ends on its cut and samples only the pulses whose support
-    overlaps it, once per node and midpoint. The kicks at a cut act through
-    :func:`kick_sequence` (unrotated in the Schrodinger picture) before U is
-    recorded there. In the interaction picture U is carried unchanged across
-    a piece that no support overlaps.
+    equal steps, in chunks of :data:`CHUNK` whose nodes and midpoints are
+    sampled at once, ends on its cut and samples only the pulses whose
+    support overlaps it. The kicks at a cut act through :func:`kick_sequence`
+    (unrotated in the Schrodinger picture) before U is recorded there. In the
+    interaction picture U is carried unchanged across a piece no support overlaps.
 
     Both basis columns advance together as a 2x2 matrix; column j of U is
     the state that starts in level j + 1. U is never renormalized: its
@@ -109,7 +113,7 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
         raise ValueError(f"{n_steps // every} recorded states exceed the {MAX_RECORDS} record limit")
 
     schrodinger = cfg.representation is Representation.SCHRODINGER
-    h0 = -0.5 * s.delta_e * SIGMA_Z
+    h0 = -0.5 * s.delta_e * SIGMA_Z if schrodinger else 0.0
     frame = 0.0 if schrodinger else s.delta_e
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
     u = kick_sequence(frame, kicks.get(s.t0, ()))
@@ -121,34 +125,53 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
         h = (b - a) / n
         active = [p for p, lo, hi in supports if lo < b and hi > a]
         stepping = schrodinger or bool(active)
-
-        def sample(t: float) -> np.ndarray:
-            v = coupling_at(s.delta_e, active, t, cfg.representation)
-            return v + h0 if schrodinger else v
-
-        if stepping:
-            t, g0 = a, sample(a)
-        # A piece without RK4 arithmetic visits only the nodes it records.
-        for k in range(1, n + 1) if stepping else [*range(every - done % every, n, every), n]:
-            end = b if k == n else a + k * h
+        span = CHUNK if stepping else CHUNK * every  # a piece with constant U records up to CHUNK nodes a chunk
+        for c0 in range(0, n, span):
+            c1 = min(n, c0 + span)
+            first = c0 + every - (done + c0) % every
+            ks = np.arange(first, min(c1 + 1, n), every)  # the steps recorded here; the cut comes after
+            slot = slice(recorded + 1, recorded + 1 + ks.size)
+            times[slot] = a + ks * h
             if stepping:
-                mid = sample(t + 0.5 * h)
-                g1 = sample(end)
-                k1 = -1j * (g0 @ u)
-                k2 = -1j * (mid @ (u + 0.5 * h * k1))
-                k3 = -1j * (mid @ (u + 0.5 * h * k2))
-                k4 = -1j * (g1 @ (u + h * k3))
-                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t, g0 = end, g1
-            if k == n and b in kicks:
-                u = kick_sequence(frame, kicks[b]) @ u
-            if (done + k) % every == 0 or k == n:
-                recorded += 1
-                times[recorded], propagators[recorded] = end, u
+                nodes = np.append(a + np.arange(c0, c1) * h, b if c1 == n else a + c1 * h)
+                walk = _walk(s.delta_e, active, nodes, h, cfg.representation, h0, u)
+                u = np.reshape(walk[-1], (2, 2))
+            propagators[slot] = np.reshape(walk[first - c0 - 1 :: every][: ks.size], (-1, 2, 2)) if stepping else u
+            recorded += ks.size
+        if b in kicks:
+            u = kick_sequence(frame, kicks[b]) @ u
+        recorded += 1
+        times[recorded], propagators[recorded] = b, u
         done += n
     if not np.all(np.isfinite(u)):
         raise FloatingPointError(f"RK4 propagator is not finite at h = {h:g}; the step is unstable")
     return Trajectory(times[: recorded + 1], propagators[: recorded + 1])
+
+
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # 2x2 products; matrices as rows of entries 00, 01, 10, 11
+    return x[[0, 0, 2, 2]] * y[[0, 1, 0, 1]] + x[[1, 1, 3, 3]] * y[[2, 3, 2, 3]]
+
+
+def _walk(delta_e: float, pulses: list, nodes: np.ndarray, h: float, rep: Representation, h0, u) -> list:
+    """U after each step between consecutive ``nodes`` from ``u``, as 4-tuples (u00, u01, u10, u11) of Python complex.
+
+    With A, B, C = -iH at t, t + h/2, t + h, all the step matrices R = I + h/6 (A + 4B + C + h(BA + B^2 + CB)
+    + h^2/2 (B^2 A + C B^2) + h^3/4 C B^2 A) are built at once, as the RK4 stages taken from U = I.
+    """
+    m = nodes.size - 1
+    g = -1j * (coupling_samples(delta_e, pulses, np.concatenate((nodes, nodes[:-1] + 0.5 * h)), rep) + h0)
+    e = g.reshape(-1, 4).T
+    a, c, mid = e[:, :m], e[:, 1 : m + 1], e[:, m + 1 :]
+    k2 = mid + 0.5 * h * _product(mid, a)
+    k3 = mid + 0.5 * h * _product(mid, k2)
+    r = (h / 6.0) * (a + 2.0 * (k2 + k3) + c + h * _product(c, k3))
+    r[[0, 3]] += 1.0
+    u00, u01, u10, u11 = u.ravel().tolist()
+    walk = []
+    for r00, r01, r10, r11 in zip(*r.tolist()):
+        u00, u01, u10, u11 = r00 * u00 + r01 * u10, r00 * u01 + r01 * u11, r10 * u00 + r11 * u10, r10 * u01 + r11 * u11
+        walk.append((u00, u01, u10, u11))
+    return walk
 
 
 def propagate(s: Schedule) -> np.ndarray:

@@ -207,6 +207,24 @@ def coupling_at(delta_e: float, pulses: list[Pulse] | tuple[Pulse, ...], t: floa
     return v
 
 
+def coupling_samples(delta_e: float, pulses: list[Pulse] | tuple[Pulse, ...], times: np.ndarray, rep: Representation):
+    """:func:`coupling_at` at every time of the array ``times``, shape (len(times), 2, 2); kicks raise."""
+    v = np.zeros((len(times), 2, 2), dtype=complex)
+    for p in pulses:
+        if isinstance(p, DeltaKick):
+            raise ValueError("pointwise value undefined for delta kicks")
+        if isinstance(p, Gaussian):
+            amp = p.alpha / (math.sqrt(math.pi) * p.tau) * np.exp(-(((times - p.t_k) / p.tau) ** 2))
+        else:
+            amp = np.where((p.t_start <= times) & (times <= p.t_start + p.tau), p.alpha / p.tau, 0.0)
+        if rep is Representation.INTERACTION and p.axis is not PauliAxis.Z:  # as in rotated_axis_matrix
+            upper = amp * pauli(p.axis)[0, 1] * np.exp(-1j * delta_e * times)
+            v[:, [0, 1], [1, 0]] += np.stack((upper, upper.conj()), axis=1)
+        else:
+            v += amp[:, None, None] * pauli(p.axis)
+    return v
+
+
 def schrodinger_hamiltonian(s: Schedule, t: float) -> np.ndarray:
     """H(t) = -(delta_e/2) sigma_z + sum_p V_p(t) sigma_axis."""
     return -0.5 * s.delta_e * SIGMA_Z + coupling_at(s.delta_e, s.pulses, t, Representation.SCHRODINGER)

@@ -4,8 +4,9 @@
 axis in which kicks are events. A mixed schedule is checked against the same
 schedule with every kick widened into a narrow Gaussian, which has no events,
 the propagator against the truncated Dyson series and against a second-order
-Magnus (exponential midpoint) product, and the Schrodinger-picture trajectory
-against the interaction-picture one.
+Magnus (exponential midpoint) product, the Schrodinger-picture trajectory
+against the interaction-picture one, and the batched ``evolve`` against RK4
+taken one step at a time.
 """
 
 import dataclasses
@@ -14,13 +15,14 @@ import warnings
 from itertools import groupby
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from kickedqubit.ode import IntegratorConfig, default_step, evolve, propagate
 from kickedqubit.perturbation import TOL_QUAD2, dyson_second_order
 from kickedqubit.propagators import change_representation, kick_sequence
 from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule, coupling_at, pulse_support
-from kickedqubit.su2 import PauliAxis, exp_minus_i_generator
+from kickedqubit.su2 import SIGMA_Z, PauliAxis, exp_minus_i_generator
 
 TF = 3.0
 AXES = st.sampled_from((PauliAxis.X, PauliAxis.Y))
@@ -134,15 +136,71 @@ def test_evolve_agrees_across_pictures(s):
     assert np.max(np.abs(converted - finals[Representation.INTERACTION])) <= 1e-8
 
 
+def cuts(s: Schedule) -> tuple[list[float], dict]:
+    """Where evolve cuts [t0, tf] (kick times and Rectangular edges inside the window), and the kicks by time."""
+    kicks = {t: tuple(group) for t, group in groupby(s.kicks(), key=lambda kick: kick.t_k)}
+    edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
+    return [s.t0, *sorted(t for t in edges | kicks.keys() if s.t0 < t < s.tf), s.tf], kicks
+
+
+def per_step_rk4(s: Schedule, cfg: IntegratorConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The recorded times and propagators of evolve, taken one RK4 step at a time.
+
+    The same cuts, steps, pointwise samples and records as evolve, with each
+    stage applied to U by a 2x2 matrix product.
+    """
+    bounds, kicks = cuts(s)
+    schrodinger = cfg.representation is Representation.SCHRODINGER
+    h0 = -0.5 * s.delta_e * SIGMA_Z if schrodinger else 0.0
+    frame = 0.0 if schrodinger else s.delta_e
+    u = kick_sequence(frame, kicks.get(s.t0, ()))
+    times, propagators = [s.t0], [u]
+    done = 0
+    for a, b in zip(bounds, bounds[1:]):
+        n = max(1, math.ceil((b - a) / cfg.dt))
+        h = (b - a) / n
+        active = [p for p in s.smooth_pulses() if pulse_support(p)[0] < b and pulse_support(p)[1] > a]
+        t = a
+        for k in range(1, n + 1):
+            end = b if k == n else a + k * h
+            if schrodinger or active:
+                g0, mid, g1 = (coupling_at(s.delta_e, active, x, cfg.representation) + h0 for x in (t, t + 0.5 * h, end))
+                k1 = -1j * (g0 @ u)
+                k2 = -1j * (mid @ (u + 0.5 * h * k1))
+                k3 = -1j * (mid @ (u + 0.5 * h * k2))
+                k4 = -1j * (g1 @ (u + h * k3))
+                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t = end
+            if k == n:
+                u = kick_sequence(frame, kicks.get(b, ())) @ u
+            if (done + k) % cfg.record_every == 0 or k == n:
+                times.append(end)
+                propagators.append(u)
+        done += n
+    return np.array(times), np.array(propagators)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mixed_schedules(), st.sampled_from(Representation), st.integers(1, 40))
+@example(Schedule(1.0, (DeltaKick(0.3, 1.0), Rectangular(0.4, 2.0, 0.5)), 0.0, TF), Representation.INTERACTION, 3)
+def test_evolve_against_per_step_rk4(s, rep, every):
+    # A chunk of 7 steps ends inside pieces and inside record blocks.
+    cfg = IntegratorConfig(default_step(s), rep, every)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("kickedqubit.ode.CHUNK", 7)
+        traj = evolve(s, cfg)
+    times, propagators = per_step_rk4(s, cfg)
+    assert traj.times.tobytes() == times.tobytes()
+    assert np.max(np.abs(traj.propagators - propagators)) <= 1e-12
+
+
 def exponential_midpoint(s: Schedule, n: int) -> np.ndarray:
     """Magnus-2 interaction-picture propagator, an oracle independent of RK4.
 
-    Cut where evolve cuts (kick times and Rectangular edges inside the window),
-    n equal steps of exp(-i h V_I(t + h/2)) per piece, the kicks at each cut.
+    Cut where evolve cuts, n equal steps of exp(-i h V_I(t + h/2)) per piece,
+    the kicks at each cut.
     """
-    kicks = {t: tuple(group) for t, group in groupby(s.kicks(), key=lambda kick: kick.t_k)}
-    edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
-    bounds = [s.t0, *sorted(t for t in edges | kicks.keys() if s.t0 < t < s.tf), s.tf]
+    bounds, kicks = cuts(s)
     smooth = s.smooth_pulses()
     u = kick_sequence(s.delta_e, kicks.get(s.t0, ()))
     for a, b in zip(bounds, bounds[1:]):

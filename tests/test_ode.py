@@ -81,21 +81,27 @@ def test_evolve_records_the_kick_products_at_kick_times():
     np.testing.assert_array_equal(traj.propagators, expected)
 
 
+def test_record_every_must_be_an_int():
+    for bad in (2.5, 3.0, True, np.int64(2), "2"):
+        with pytest.raises(ValueError, match="record_every must be a positive integer"):
+            IntegratorConfig(0.1, Representation.SCHRODINGER, bad)
+
+
 def test_rk4_step_samples_the_coupling_twice_plus_one(monkeypatch):
-    # Each node is sampled once, its value shared by the steps on either side,
-    # plus one sample per step shared by both midpoint stages.
-    from kickedqubit.pulses import coupling_at
+    # The 256 steps fit in one chunk: each node is sampled once, its value shared
+    # by the steps on either side, plus one sample per step for both midpoint stages.
+    from kickedqubit.pulses import coupling_samples
 
-    calls = []
+    times = []
 
-    def counting(*args):
-        calls.append(args[2])
-        return coupling_at(*args)
+    def counting(delta_e, pulses, t, rep):
+        times.extend(t)
+        return coupling_samples(delta_e, pulses, t, rep)
 
-    monkeypatch.setattr("kickedqubit.ode.coupling_at", counting)
+    monkeypatch.setattr("kickedqubit.ode.coupling_samples", counting)
     s = Schedule(0.5, (Gaussian(0.5, 8.0, 1.25),), 0.0, 16.0)
     evolve(s, IntegratorConfig(0.0625, Representation.INTERACTION))
-    assert len(calls) == 2 * 256 + 1
+    assert len(times) == len(set(times)) == 2 * 256 + 1
 
 
 def test_schrodinger_picture_kick_is_unrotated():
@@ -135,17 +141,30 @@ def test_recording_cap_is_checked_before_stepping(monkeypatch):
     assert len(evolve(s, IntegratorConfig(0.01, Representation.INTERACTION, 10)).times) == 11
 
 
-def test_recording_peaks_near_the_bytes_of_its_arrays():
-    # A float64 time and a complex 2x2 U are 72 bytes a record, written into preallocated arrays.
-    s = Schedule(1.0, (), 0.0, 1.0)
+def traced_evolve(s, cfg):
+    """The trajectory and the tracemalloc peak of one evolve."""
     tracemalloc.start()
     try:
-        traj = evolve(s, IntegratorConfig(5e-4, Representation.SCHRODINGER))
-        peak = tracemalloc.get_traced_memory()[1]
+        return evolve(s, cfg), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(traj.times) == 2001
-    assert peak / len(traj.times) <= 100
+
+
+def test_recording_peaks_near_the_bytes_of_its_arrays():
+    # A float64 time and a complex 2x2 U are 72 bytes a record, written into
+    # preallocated arrays; the stepping workspace is the same at both lengths.
+    s = Schedule(1.0, (), 0.0, 1.0)
+    for rep in Representation:
+        (short, low), (long, high) = (traced_evolve(s, IntegratorConfig(dt, rep)) for dt in (5e-4, 5e-5))
+        assert (len(short.times), len(long.times)) == (2001, 20001)
+        assert (high - low) / (20001 - 2001) <= 100
+
+
+def test_final_only_run_peaks_at_a_fixed_workspace():
+    # Steps are taken in chunks of CHUNK, so the peak does not grow with the step count.
+    s = Schedule(1.0, (Gaussian(0.5, 0.5, 0.05),), 0.0, 1.0)
+    for dt in (1e-4, 1e-5):
+        assert traced_evolve(s, IntegratorConfig(dt, Representation.INTERACTION, 10**6))[1] <= 2e6
 
 
 def test_warns_when_step_does_not_resolve_pulse():

@@ -13,6 +13,8 @@ from kickedqubit.pulses import (
     Rectangular,
     Representation,
     Schedule,
+    coupling_at,
+    coupling_samples,
     faddeeva,
     integrated_strength,
     interaction_potential,
@@ -172,6 +174,31 @@ def test_rotated_coupling_against_conjugation_oracle():
     np.testing.assert_allclose(
         rotated_axis_matrix(1.0, math.pi, PauliAxis.X), -SIGMA_X, atol=1e-12
     )
+
+
+SMOOTH_PULSES = st.lists(
+    st.builds(Gaussian, st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.05, 2.0), st.sampled_from(PauliAxis))
+    | st.builds(Rectangular, st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.05, 2.0), st.sampled_from(PauliAxis)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SMOOTH_PULSES, st.floats(-3.0, 3.0), st.lists(st.floats(-8.0, 8.0), max_size=20), st.sampled_from(Representation))
+def test_coupling_samples_is_coupling_at_at_every_time(pulses, delta_e, times, rep):
+    # Rectangular edges are sampled exactly: the pulse is on at both ends.
+    times += [e for p in pulses if isinstance(p, Rectangular) for e in pulse_support(p)]
+    batch = coupling_samples(delta_e, pulses, np.array(times), rep)
+    assert batch.shape == (len(times), 2, 2)
+    scale = sum(abs(p.alpha) / p.tau for p in pulses)
+    for t, v in zip(times, batch):
+        np.testing.assert_allclose(v, coupling_at(delta_e, pulses, t, rep), rtol=1e-15, atol=1e-15 * scale)
+
+
+def test_coupling_samples_rejects_kicks():
+    with pytest.raises(ValueError, match="delta kick"):
+        coupling_samples(1.0, [DeltaKick(0.3, 1.0)], np.array([1.0]), Representation.INTERACTION)
 
 
 def test_time_average_single_kick_reproduces_kick_propagator():
