@@ -16,7 +16,6 @@ from kickedqubit import (
     DeltaKick,
     Representation,
     Schedule,
-    apply,
     kick_sequence,
     nto_opposite_pair,
     nto_propagator,
@@ -32,7 +31,7 @@ delta_e = 1.0  # level splitting (dimensionless, hbar = 1)
 # of when the kick happens.
 for alpha in (0.3, math.pi / 4, math.pi / 2):
     u = single_kick(delta_e, DeltaKick(alpha, t_k=2.0))
-    p1, p2 = probabilities(apply(u, np.array([1.0, 0.0])))
+    p1, p2 = probabilities(u @ np.array([1.0, 0.0]))
     print(f"single kick alpha={alpha:5.3f}:  P2 = {p2:.6f}  (sin^2 = {math.sin(alpha)**2:.6f})")
 
 # --- two kicks ------------------------------------------------------------

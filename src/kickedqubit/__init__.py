@@ -49,16 +49,13 @@ from .pulses import (
 )
 from .su2 import (
     TOL_NORM,
-    TOL_UNITARY,
     PauliAxis,
-    apply,
-    compose,
     dagger,
     exp_i_phi_sigma_u,
     pauli,
     probabilities,
     unitarity_defect,
 )
-from .units import HBAR_EV_PS, UnitTag, delta_e_from_ev, preset_2s2p, rabi_period
+from .units import HBAR_EV_PS, delta_e_from_ev, preset_2s2p, rabi_period
 
 __version__ = "0.1.0"

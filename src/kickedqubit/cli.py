@@ -47,7 +47,7 @@ from .ode import IntegratorConfig, default_step, evolve
 from .perturbation import dyson_second_order
 from .pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
 from .su2 import PauliAxis
-from .units import DELTA_E_2S2P_EV, T_K_2S2P_PS, UnitTag, convert_delta_e, delta_e_from_ev, preset_2s2p, rabi_period
+from .units import DELTA_E_2S2P_EV, T_K_2S2P_PS, delta_e_from_ev, preset_2s2p, rabi_period
 
 EXIT_CONFIG = 2
 EXIT_PRECONDITION = 3
@@ -86,28 +86,23 @@ def parse_config_file(path: str) -> dict[str, dict[str, str]]:
     return sections
 
 
+# Pulse kind: (class, count of numeric fields before the optional axis).
+PULSE_KINDS = {"kick": (DeltaKick, 2), "gaussian": (Gaussian, 3), "rect": (Rectangular, 3)}
+
+
 def parse_pulses(text: str) -> tuple:
     pulses = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
-        fields = [f.strip() for f in chunk.split(":")]
-        kind = fields[0].lower()
+        kind, *fields = [f.strip() for f in chunk.split(":")]
+        cls, n = PULSE_KINDS.get(kind.lower(), (None, 0))
+        if cls is None or len(fields) not in (n, n + 1):
+            raise ConfigError(f"unrecognized pulse spec {chunk!r}")
         try:
-            if kind == "kick" and len(fields) in (3, 4):
-                axis = PauliAxis.from_str(fields[3]) if len(fields) == 4 else PauliAxis.X
-                pulses.append(DeltaKick(float(fields[1]), float(fields[2]), axis))
-            elif kind == "gaussian" and len(fields) in (4, 5):
-                axis = PauliAxis.from_str(fields[4]) if len(fields) == 5 else PauliAxis.X
-                pulses.append(Gaussian(float(fields[1]), float(fields[2]), float(fields[3]), axis))
-            elif kind == "rect" and len(fields) in (4, 5):
-                axis = PauliAxis.from_str(fields[4]) if len(fields) == 5 else PauliAxis.X
-                pulses.append(
-                    Rectangular(float(fields[1]), float(fields[2]), float(fields[3]), axis)
-                )
-            else:
-                raise ConfigError(f"unrecognized pulse spec {chunk!r}")
+            axis = PauliAxis.from_str(fields[n]) if len(fields) > n else PauliAxis.X
+            pulses.append(cls(*map(float, fields[:n]), axis))
         except ValueError as exc:
             raise ConfigError(f"bad pulse spec {chunk!r}: {exc}") from exc
     return tuple(pulses)
@@ -164,11 +159,10 @@ def _delta_e(args, opts) -> float:
     if delta_e is None:
         raise ConfigError("delta-e is required (or use --preset 2s2p)")
     unit = _merged(args, opts, "unit", "dimensionless")
-    try:
-        unit_tag = UnitTag(str(unit))
-    except ValueError:
-        raise ConfigError(f"unknown unit {unit!r}; expected dimensionless or ev_ps") from None
-    return convert_delta_e(_as_float(delta_e, "delta-e"), unit_tag)
+    if unit not in ("dimensionless", "ev_ps"):
+        raise ConfigError(f"unknown unit {unit!r}; expected dimensionless or ev_ps")
+    value = _as_float(delta_e, "delta-e")
+    return delta_e_from_ev(value) if unit == "ev_ps" else value
 
 
 def build_schedule(args, opts) -> Schedule:

@@ -10,9 +10,10 @@ coupling. The step is fixed (no adaptivity) so repeated runs are
 bit-reproducible; convergence is checked by step halving.
 
 :func:`evolve` cuts the window where V is not smooth: at the delta kicks,
-which act there through their closed form from
-:mod:`kickedqubit.propagators`, and at the edges of rectangular pulses, so
-no RK4 step straddles a jump. :func:`propagate` is its final value.
+which act there as exp(-i G) with G from
+:func:`kickedqubit.propagators.kick_generators`, and at the edges of
+rectangular pulses, so no RK4 step straddles a jump. :func:`propagate` is
+its final value.
 
 :func:`evolve` builds the RK4 step matrices of :data:`CHUNK` steps at once in
 numpy; only their product onto U runs step by step, on Python complex scalars.
@@ -23,13 +24,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from itertools import groupby
 
 import numpy as np
 
-from .propagators import kick_sequence, nto_propagator
+from .propagators import kick_generators, nto_propagator
 from .pulses import Gaussian, Rectangular, Representation, Schedule, coupling_samples, pulse_support
-from .su2 import SIGMA_Z
+from .su2 import SIGMA_Z, exp_minus_i_generator, unitarity_defect
 from .units import rabi_period
 
 MAX_STEPS = 10**9
@@ -37,6 +37,7 @@ MAX_STEPS = 10**9
 # 72 bytes (a float64 time and a complex 2x2 U, preallocated): 10^6 is ~72 MB.
 MAX_RECORDS = 10**6
 CHUNK = 1024  # steps whose RK4 step matrices are built at once: a workspace of under 1 MB
+MAX_DEFECT = 1e-6  # largest unitarity defect propagate returns; beyond it its own step has failed
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,10 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     rectangular-pulse edges inside it. Each piece takes ceil(length / dt)
     equal steps, in chunks of :data:`CHUNK` whose nodes and midpoints are
     sampled at once, ends on its cut and samples only the pulses whose
-    support overlaps it. The kicks at a cut act through :func:`kick_sequence`
-    (unrotated in the Schrodinger picture) before U is recorded there. In the
-    interaction picture U is carried unchanged across a piece no support overlaps.
+    support overlaps it. The kicks at a cut, on any axis, act as exp(-i G)
+    with G from :func:`kick_generators` (unrotated in the Schrodinger
+    picture) before U is recorded there. In the interaction picture U is
+    carried unchanged across a piece no support overlaps.
 
     Both basis columns advance together as a 2x2 matrix; column j of U is
     the state that starts in level j + 1. U is never renormalized: its
@@ -101,7 +103,8 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
         warnings.warn(f"dt = {cfg.dt:g} does not resolve the fastest scale (warning threshold {threshold:g})",
                       stacklevel=2)
 
-    kicks = {t: tuple(group) for t, group in groupby(s.kicks(), key=lambda kick: kick.t_k)}
+    schrodinger = cfg.representation is Representation.SCHRODINGER
+    kicks = kick_generators(0.0 if schrodinger else s.delta_e, s.kicks())
     edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
     bounds = [s.t0, *sorted(t for t in edges | kicks.keys() if s.t0 < t < s.tf), s.tf]
     pieces = [(a, b, max(1, math.ceil((b - a) / cfg.dt))) for a, b in zip(bounds, bounds[1:])]
@@ -112,11 +115,9 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     if n_steps // every > MAX_RECORDS:
         raise ValueError(f"{n_steps // every} recorded states exceed the {MAX_RECORDS} record limit")
 
-    schrodinger = cfg.representation is Representation.SCHRODINGER
     h0 = -0.5 * s.delta_e * SIGMA_Z if schrodinger else 0.0
-    frame = 0.0 if schrodinger else s.delta_e
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
-    u = kick_sequence(frame, kicks.get(s.t0, ()))
+    u = exp_minus_i_generator(kicks.get(s.t0, np.zeros((2, 2))))
     rows = 1 + n_steps // every + len(pieces)  # t0, every record_every-th step, each cut
     times, propagators = np.empty(rows), np.empty((rows, 2, 2), dtype=complex)
     times[0], propagators[0] = s.t0, u
@@ -139,7 +140,7 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
             propagators[slot] = np.reshape(walk[first - c0 - 1 :: every][: ks.size], (-1, 2, 2)) if stepping else u
             recorded += ks.size
         if b in kicks:
-            u = kick_sequence(frame, kicks[b]) @ u
+            u = exp_minus_i_generator(kicks[b]) @ u
         recorded += 1
         times[recorded], propagators[recorded] = b, u
         done += n
@@ -177,9 +178,14 @@ def _walk(delta_e: float, pulses: list, nodes: np.ndarray, h: float, rep: Repres
 def propagate(s: Schedule) -> np.ndarray:
     """Time-ordered rotating-frame propagator of ``s`` over [t0, tf]: the final value of :func:`evolve`.
 
-    Any schedule, integrated in the interaction picture at :func:`default_step`.
+    Any schedule, integrated in the interaction picture at :func:`default_step`. Raises
+    FloatingPointError when the unitarity defect of the result exceeds :data:`MAX_DEFECT`.
     """
-    return evolve(s, IntegratorConfig(default_step(s), Representation.INTERACTION, record_every=10**6)).propagators[-1]
+    u = evolve(s, IntegratorConfig(default_step(s), Representation.INTERACTION, record_every=10**6)).propagators[-1]
+    defect = unitarity_defect(u)
+    if defect > MAX_DEFECT:
+        raise FloatingPointError(f"unitarity defect {defect:.2g} exceeds {MAX_DEFECT:g}: the step is too coarse")
+    return u
 
 
 def evolve_nto_reference(

@@ -23,18 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
-from .pulses import (
-    Representation,
-    Schedule,
-    coupling_at,
-    pulse_coupling_integral,
-    pulse_support,
-    rotated_axis_matrix,
-)
+from .propagators import kick_generators
+from .pulses import Representation, Schedule, coupling_at, pulse_coupling_integral, pulse_support
 from .quadrature import adaptive_simpson
 from .su2 import ID2
 
@@ -85,17 +78,14 @@ def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
 
     One sweep over the sorted edges: the times of :meth:`Schedule.kicks` and
     the clipped ends of every smooth support. It carries K, the closed-form
-    integral of V from t0. The kicks at an edge, g = sum of alpha R, add
+    integral of V from t0. The kicks at an edge, g from :func:`kick_generators`, add
     g (K + g/2) to the ordered integral, the Theta(0) = 1/2 rule for
     equal-time pairs, and [g, K] to the commutator one. Each gap between
     edges adds an adaptive Simpson over t1 of (V K, V K - K V), where V sums
     the smooth pulses active on the gap and K(t1) adds their closed-form
     integrals from the gap's start.
     """
-    kicks = {
-        t: sum(kick.alpha * rotated_axis_matrix(s.delta_e, t, kick.axis) for kick in group)
-        for t, group in groupby(s.kicks(), key=lambda kick: kick.t_k)
-    }
+    kicks = kick_generators(s.delta_e, s.kicks())
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
     edges = sorted(kicks.keys() | {min(max(t, s.t0), s.tf) for _, lo, hi in supports for t in (lo, hi)})
     k = np.zeros((2, 2), dtype=complex)

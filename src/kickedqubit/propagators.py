@@ -12,8 +12,9 @@ of the mean coupling are available in closed form; their off-diagonal phase
 is exp(-i dE (t1 + t2) / 2), the value obtained by composing single-kick
 factors (and by direct integration of the mean coupling).
 
-Kicks are :class:`~kickedqubit.pulses.DeltaKick` values; only the x and y
-axes couple the two levels, so a z-axis kick is rejected here.
+Kicks are :class:`~kickedqubit.pulses.DeltaKick` values on any axis; a z-axis
+kick is the phase exp(-i alpha sigma_z) in every frame, since sigma_z commutes
+with H0. :func:`kick_generators` is the one rule for kicks that every route shares.
 """
 
 from __future__ import annotations
@@ -24,38 +25,43 @@ from itertools import groupby
 import numpy as np
 
 from .pulses import DeltaKick, Representation, Schedule, rotated_axis_matrix, time_average
-from .su2 import ID2, SIGMA_Z, PauliAxis, exp_minus_i_generator
+from .su2 import ID2, SIGMA_Z, exp_minus_i_generator
 
 
 def single_kick(delta_e: float, kick: DeltaKick) -> np.ndarray:
-    """Propagator of one kick: cos(a) I - i sin(a) * (rotated axis matrix).
+    """Propagator of one kick on any axis: cos(a) I - i sin(a) * (rotated axis matrix).
 
-    Exact because the rotated axis matrix squares to the identity.
+    Exact because the rotated axis matrix, sigma_z included, squares to the identity.
     """
-    if kick.axis is PauliAxis.Z:
-        raise ValueError("kicks couple through sigma_x or sigma_y only")
     r = rotated_axis_matrix(delta_e, kick.t_k, kick.axis)
     return math.cos(kick.alpha) * ID2 - 1j * math.sin(kick.alpha) * r
 
 
+def kick_generators(delta_e: float, kicks: list[DeltaKick] | tuple[DeltaKick, ...]) -> dict[float, np.ndarray]:
+    """Generator G = sum of alpha R(delta_e, t) of the kicks at each time t of ``kicks``, sorted by time.
+
+    Simultaneous kicks act as the single exponential exp(-i G), the limit of
+    coincident narrow pulses; ``delta_e`` = 0 gives the unrotated generators.
+    """
+    return {
+        t: sum((k.alpha * rotated_axis_matrix(delta_e, k.t_k, k.axis) for k in group), np.zeros((2, 2), dtype=complex))
+        for t, group in groupby(kicks, key=lambda kick: kick.t_k)
+    }
+
+
 def kick_sequence(delta_e: float, kicks: list[DeltaKick] | tuple[DeltaKick, ...]) -> np.ndarray:
-    """Ordered product of single-kick propagators, later kicks applied last.
+    """Ordered product of the kick exponentials of :func:`kick_generators`, later kicks applied last.
 
     ``kicks`` must be sorted by time ascending (ties allowed); the sequence
-    of applications is enforced explicitly rather than inferred. Simultaneous
-    kicks are merged by summing their generators before a single
-    exponentiation, the limit of coincident narrow pulses.
+    of applications is enforced explicitly rather than inferred.
     """
     kicks = list(kicks)
     for a, b in zip(kicks, kicks[1:]):
         if b.t_k < a.t_k:
             raise ValueError("kicks must be sorted by time ascending")
-    if any(k.axis is PauliAxis.Z for k in kicks):
-        raise ValueError("kicks couple through sigma_x or sigma_y only")
     u = ID2.copy()
-    for _, group in groupby(kicks, key=lambda kick: kick.t_k):
-        terms = (k.alpha * rotated_axis_matrix(delta_e, k.t_k, k.axis) for k in group)
-        u = exp_minus_i_generator(sum(terms, np.zeros((2, 2), dtype=complex))) @ u
+    for g in kick_generators(delta_e, kicks).values():
+        u = exp_minus_i_generator(g) @ u
     return u
 
 

@@ -13,9 +13,8 @@ import math
 
 import numpy as np
 
-# Tolerances for double-precision arithmetic with headroom; every closed form
+# Tolerance for double-precision arithmetic with headroom; every closed form
 # in this package is exact, so only rounding accumulates.
-TOL_UNITARY = 1e-10
 TOL_NORM = 1e-10
 
 ID2 = np.eye(2, dtype=complex)
@@ -70,19 +69,9 @@ def exp_i_phi_sigma_u(phi: float, u) -> np.ndarray:
     return math.cos(phi) * ID2 + 1j * math.sin(phi) * sigma_dot_u((ux, uy, uz))
 
 
-def compose(later: np.ndarray, earlier: np.ndarray) -> np.ndarray:
-    """Product later @ earlier; argument order matches time ordering."""
-    return later @ earlier
-
-
 def dagger(u: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return u.conj().T
-
-
-def apply(u: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Act with a propagator on a state vector."""
-    return u @ state
 
 
 def probabilities(state: np.ndarray) -> tuple[float, float]:

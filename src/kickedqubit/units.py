@@ -13,7 +13,6 @@ rounded to 972 ps, but here the period is always derived from delta_e.
 
 from __future__ import annotations
 
-import enum
 import math
 
 from .pulses import Gaussian, Schedule
@@ -25,18 +24,9 @@ DELTA_E_2S2P_EV = 4.37e-6
 T_K_2S2P_PS = 150.0
 
 
-class UnitTag(enum.Enum):
-    DIMENSIONLESS = "dimensionless"
-    EV_PS = "ev_ps"
-
-
 def delta_e_from_ev(delta_e_ev: float) -> float:
     """Convert a splitting in eV to internal (inverse-ps) units."""
     return delta_e_ev / HBAR_EV_PS
-
-
-def convert_delta_e(value: float, unit: UnitTag) -> float:
-    return delta_e_from_ev(value) if unit is UnitTag.EV_PS else value
 
 
 def rabi_period(delta_e: float) -> float:

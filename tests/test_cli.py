@@ -204,12 +204,15 @@ def test_exit_codes(tmp_path):
     assert run(["compare-nto", "--delta-e", "1", "--pulses", "blob:1:2"]) == 2
     # 2: invalid numeric field
     assert run(["map-classify", "--split-phase", "abc", "--strength-phase", "1"]) == 2
-    # 0: evolve records across kick times
+    # 0: evolve records across kick times, on any axis
     assert run(["evolve", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1", "-o", tmp_path / "kick.csv"]) == 0
+    assert run(["evolve", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1:z", "-o", tmp_path / "z.csv"]) == 0
     # 3: precondition violations inside the library
     assert run(["map-classify", "--split-phase", "-1", "--strength-phase", "1"]) == 3
-    assert run(["evolve", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1:z"]) == 3
     assert run(["obs-time", "--delta-e", "1", "--t-k", "-5", "--tau", "2", "--tf-grid", "-1 2"]) == 3
+    # 5: a pulse too strong for propagate's default step leaves its result non-unitary
+    for pulse in ("rect:200:1:1", "gaussian:60:5:0.5"):
+        assert run(["compare-nto", "--delta-e", "1", "--tf", "10", "--pulses", pulse, "-o", tmp_path / "p.json"]) == 5
     # 4: unwritable output path
     assert (
         run(["map-classify", "--split-phase", "1", "--strength-phase", "1", "-o", tmp_path / "no" / "dir.json"])

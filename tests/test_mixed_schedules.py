@@ -40,7 +40,7 @@ RECTANGLES = st.builds(Rectangular, signed(0.2, 0.5), st.floats(0.3, 1.5), st.fl
 
 @st.composite
 def mixed_schedules(draw):
-    """1-2 smooth pulses, a kick inside the first one's support and maybe one on a support end."""
+    """1-2 smooth pulses, a kick on any axis inside the first one's support and maybe one on a support end."""
     pulses = draw(st.lists(GAUSSIANS | RECTANGLES, min_size=1, max_size=2))
     lo, hi = pulse_support(pulses[0])
     times = [lo + draw(st.floats(0.1, 0.9)) * (hi - lo)]
@@ -48,7 +48,7 @@ def mixed_schedules(draw):
         times.append(draw(st.sampled_from([e for p in pulses for e in pulse_support(p)])))
         # Widened kicks closer than this overlap and converge only once tau resolves the gap.
         assume(abs(times[1] - times[0]) >= 0.3)
-    kicks = [DeltaKick(draw(signed(0.1, 0.4)), t, draw(AXES)) for t in times]
+    kicks = [DeltaKick(draw(signed(0.1, 0.4)), t, draw(st.sampled_from(PauliAxis))) for t in times]
     return Schedule(draw(st.floats(0.5, 2.0)), tuple(pulses + kicks), 0.0, TF)
 
 
@@ -86,10 +86,12 @@ def smearing_bound(s: Schedule) -> float:
 @given(mixed_schedules())
 def test_dyson_narrow_gaussians_converge_to_kicks(s):
     # The widening error is linear in tau, about 10x per decade once tau is
-    # small enough that the tau^2 term cannot cancel it.
+    # small enough that the tau^2 term cannot cancel it. A z kick where V is
+    # negligible commutes with everything near it, so widening it costs nothing
+    # and both errors sit at the quadrature floor, below TOL_QUAD2.
     kicked = dyson_pieces(s)
     coarse, fine = (np.max(np.abs(dyson_pieces(widened(s, tau)) - kicked)) for tau in (1e-3, 1e-4))
-    assert fine <= coarse / 5.0
+    assert fine <= max(coarse / 5.0, TOL_QUAD2)
 
 
 @settings(max_examples=3, deadline=None)
@@ -217,6 +219,8 @@ def exponential_midpoint(s: Schedule, n: int) -> np.ndarray:
 def test_propagate_against_second_order_magnus(s):
     # The exponential midpoint rule is second order: doubling n cuts its error
     # against RK4 4x (4.00-4.03 over 30 draws; RK4's own error is far smaller).
+    # Two equal and opposite pulses leave V identically 0: then both routes are
+    # the exact kick product and agree to the bit.
     u = propagate(s)
     coarse, fine = (np.max(np.abs(exponential_midpoint(s, n) - u)) for n in (200, 400))
-    assert 3.5 <= coarse / fine <= 4.5
+    assert coarse == fine == 0.0 or 3.5 <= coarse / fine <= 4.5

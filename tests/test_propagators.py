@@ -48,12 +48,14 @@ def test_single_kick_matches_exponential_oracle():
     np.testing.assert_allclose(single_kick(delta_e, DeltaKick(alpha, t_k)), oracle, atol=1e-13)
 
 
-def test_kick_propagators_reject_z_axis():
-    z_kick = DeltaKick(0.1, 0.0, PauliAxis.Z)
-    with pytest.raises(ValueError, match="sigma_x or sigma_y"):
-        single_kick(1.0, z_kick)
-    with pytest.raises(ValueError, match="sigma_x or sigma_y"):
-        kick_sequence(1.0, [DeltaKick(0.2, -1.0), z_kick])
+@pytest.mark.parametrize("delta_e", [0.0, 1.0, 2.7])
+def test_z_kick_is_a_phase_at_any_time(delta_e):
+    # sigma_z commutes with H0, so the kick is exp(-i alpha sigma_z) in every frame and at every time.
+    phase = np.diag([np.exp(-0.3j), np.exp(0.3j)])
+    np.testing.assert_allclose(single_kick(delta_e, DeltaKick(0.3, 1.7, PauliAxis.Z)), phase, atol=1e-15)
+    x_kick = DeltaKick(0.2, -1.0)
+    u = kick_sequence(delta_e, [x_kick, DeltaKick(0.3, 2.5, PauliAxis.Z)])
+    np.testing.assert_allclose(u, phase @ single_kick(delta_e, x_kick), atol=1e-15)
 
 
 def test_empty_sequence_is_identity():
