@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ode import IntegratorConfig, default_step, evolve, evolve_nto_reference, propagate
+from .ode import IntegratorConfig, check_unitary, default_step, evolve, evolve_nto_reference, propagate
 from .propagators import nto_propagator
 from .pulses import DeltaKick, Gaussian, Representation, Schedule
 from .su2 import PauliAxis
@@ -185,7 +185,8 @@ def observation_time_scan(
     The ordered (rotating-frame) column comes from one interaction-picture
     :func:`~kickedqubit.ode.evolve` over [0, max tf], which records
     U(tf, 0) at every observation time; beyond the pulse support it is
-    exactly constant. The NTO columns come from
+    exactly constant, and its final U must pass
+    :func:`~kickedqubit.ode.check_unitary`. The NTO columns come from
     :func:`~kickedqubit.ode.evolve_nto_reference` on the window-truncated
     mean coupling, which damps in the Schrodinger picture as the average
     field shrinks against the splitting, but settles to a constant in the
@@ -208,6 +209,7 @@ def observation_time_scan(
         warnings.simplefilter("ignore")  # wide pulses may overhang t0 = 0
         marked = Schedule(delta_e, window.pulses + tuple(DeltaKick(0.0, tf) for tf in tf_grid), 0.0, tf_grid[-1])
     run = evolve(marked, IntegratorConfig(default_step(marked), Representation.INTERACTION, 10**6))
+    check_unitary(run.propagators[-1])
     # Rows by time: a run longer than record_every steps records more rows.
     ordered = dict(zip(run.times.tolist(), np.abs(run.propagators[:, 1, 0]) ** 2))
     schrodinger = evolve_nto_reference(window, Representation.SCHRODINGER, tf_grid)

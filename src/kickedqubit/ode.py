@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .propagators import kick_generators, nto_propagator
-from .pulses import Gaussian, Rectangular, Representation, Schedule, coupling_samples, pulse_support
+from .propagators import kick_generators, nto_exponential
+from .pulses import Gaussian, Rectangular, Representation, Schedule, coupling_integral, coupling_samples, pulse_support
 from .su2 import SIGMA_Z, exp_minus_i_generator, unitarity_defect
 from .units import rabi_period
 
@@ -178,10 +178,13 @@ def _walk(delta_e: float, pulses: list, nodes: np.ndarray, h: float, rep: Repres
 def propagate(s: Schedule) -> np.ndarray:
     """Time-ordered rotating-frame propagator of ``s`` over [t0, tf]: the final value of :func:`evolve`.
 
-    Any schedule, integrated in the interaction picture at :func:`default_step`. Raises
-    FloatingPointError when the unitarity defect of the result exceeds :data:`MAX_DEFECT`.
+    Any schedule, integrated in the interaction picture at :func:`default_step`, passed by :func:`check_unitary`.
     """
-    u = evolve(s, IntegratorConfig(default_step(s), Representation.INTERACTION, record_every=10**6)).propagators[-1]
+    return check_unitary(evolve(s, IntegratorConfig(default_step(s), Representation.INTERACTION, 10**6)).propagators[-1])
+
+
+def check_unitary(u: np.ndarray) -> np.ndarray:
+    """``u``, unless its unitarity defect exceeds :data:`MAX_DEFECT`: then the step that made it has failed."""
     defect = unitarity_defect(u)
     if defect > MAX_DEFECT:
         raise FloatingPointError(f"unitarity defect {defect:.2g} exceeds {MAX_DEFECT:g}: the step is too coarse")
@@ -193,23 +196,21 @@ def evolve_nto_reference(
 ) -> list[tuple[float, float]]:
     """Transfer probability without time ordering versus observation time.
 
-    For each T_f the schedule is truncated to [t0, T_f] and the NTO
-    propagator's |U_21|^2 from state 1 is reported; T_f = t0 gives exactly 0.
+    For each T_f, |U_21|^2 from state 1 of the NTO propagator of the schedule
+    truncated to [t0, T_f]; T_f = t0 gives exactly 0. One closed-form call
+    gives the coupling integral from t0 to every T_f at once.
     """
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # truncation clips pulse support by design
-        for tf in tf_grid:
-            tf = float(tf)
-            if tf < s.t0:
-                raise ValueError(f"observation time {tf!r} precedes t0 = {s.t0!r}")
-            if tf == s.t0:
-                out.append((tf, 0.0))
-                continue
-            truncated = Schedule(s.delta_e, s.pulses, s.t0, tf)
-            u = nto_propagator(truncated, rep)
-            out.append((tf, float(abs(u[1, 0]) ** 2)))
-    return out
+    tf_grid = [float(tf) for tf in tf_grid]
+    for tf in tf_grid:
+        if tf < s.t0:
+            raise ValueError(f"observation time {tf!r} precedes t0 = {s.t0!r}")
+        if not math.isfinite(tf):
+            raise ValueError(f"tf must be finite, got {tf!r}")
+    k = coupling_integral(s, s.t0, np.array(tf_grid), rep)
+    return [
+        (tf, float(abs(nto_exponential(k_tf, s.delta_e, tf - s.t0, rep)[1, 0]) ** 2) if tf > s.t0 else 0.0)
+        for tf, k_tf in zip(tf_grid, k)
+    ]
 
 
 def convergence_check(s: Schedule, cfg: IntegratorConfig) -> tuple[float, float, float]:

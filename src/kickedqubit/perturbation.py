@@ -10,9 +10,9 @@ that the ordered double integral equals the unordered square -(1/2) I1^2
 plus the ordered commutator integral: the commutator half carries every
 effect of time ordering at this order. This module computes all the pieces
 in one sweep over time, in which delta kicks are events at edges and smooth
-pulses are integrated between them (the shared adaptive Simpson over t1,
-with the inner integral in closed form), so the identity can be checked
-rather than assumed.
+pulses are integrated between them: the shared adaptive Simpson over t1
+samples V and the inner integral, in closed form, at every node of a level
+in one call. The identity can thus be checked rather than assumed.
 
 Equivalently, the step function ordering weight decomposes as
 Theta(t1 - t2) = 1/2 + sgn(t1 - t2)/2; the constant half reproduces the
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagators import kick_generators
-from .pulses import Representation, Schedule, coupling_at, pulse_coupling_integral, pulse_support
+from .pulses import Representation, Schedule, coupling_samples, pulse_coupling_integral, pulse_support
 from .quadrature import adaptive_simpson
 from .su2 import ID2
 
@@ -83,7 +83,7 @@ def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
     equal-time pairs, and [g, K] to the commutator one. Each gap between
     edges adds an adaptive Simpson over t1 of (V K, V K - K V), where V sums
     the smooth pulses active on the gap and K(t1) adds their closed-form
-    integrals from the gap's start.
+    integrals from the gap's start, both taken at all the nodes of a level at once.
     """
     kicks = kick_generators(s.delta_e, s.kicks())
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
@@ -94,11 +94,11 @@ def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
         active = [p for p, lo, hi in supports if lo < b and hi > a]
         if active:
 
-            def integrand(t: float) -> np.ndarray:
-                v = coupling_at(s.delta_e, active, t, Representation.INTERACTION)
+            def integrand(t: np.ndarray) -> np.ndarray:
+                v = coupling_samples(s.delta_e, active, t, Representation.INTERACTION)
                 kt = k + sum(pulse_coupling_integral(p, s.delta_e, a, t, Representation.INTERACTION) for p in active)
                 vk = v @ kt
-                return np.stack((vk, vk - kt @ v))
+                return np.stack((vk, vk - kt @ v), axis=1)
 
             total = total + adaptive_simpson(integrand, a, b, _OUTER_TOL, 40)
             k = k + sum(pulse_coupling_integral(p, s.delta_e, a, b, Representation.INTERACTION) for p in active)

@@ -24,7 +24,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .pulses import DeltaKick, Representation, Schedule, rotated_axis_matrix, time_average
+from .pulses import DeltaKick, Representation, Schedule, coupling_integral, rotated_axis_matrix
 from .su2 import ID2, SIGMA_Z, exp_minus_i_generator
 
 
@@ -109,16 +109,21 @@ def nto_opposite_pair(delta_e: float, alpha: float, t1: float, t2: float) -> np.
 
 
 def nto_propagator(s: Schedule, rep: Representation) -> np.ndarray:
-    """Evolution with time ordering removed: exp(-i Gbar (tf - t0)).
+    """Evolution with time ordering removed: :func:`nto_exponential` of the coupling integral over [t0, tf]."""
+    return nto_exponential(coupling_integral(s, s.t0, s.tf, rep), s.delta_e, s.duration(), rep)
 
-    ``Gbar`` is the time-averaged coupling in the requested picture; in the
-    Schrodinger picture the constant -(dE/2) sigma_z term joins the exponent,
-    so the generator is the time average of the full Hamiltonian.
+
+def nto_exponential(k: np.ndarray, delta_e: float, duration: float, rep: Representation) -> np.ndarray:
+    """exp(-i Gbar duration) for a window whose coupling integral is ``k``.
+
+    ``Gbar`` = k / duration is the time-averaged coupling in the requested
+    picture; in the Schrodinger picture the constant -(dE/2) sigma_z term
+    joins the exponent, so the generator is the time average of the full Hamiltonian.
     """
-    g = time_average(s, rep)
+    g = k / duration
     if rep is Representation.SCHRODINGER:
-        g = g - 0.5 * s.delta_e * SIGMA_Z
-    return exp_minus_i_generator(g, s.duration())
+        g = g - 0.5 * delta_e * SIGMA_Z
+    return exp_minus_i_generator(g, duration)
 
 
 def free_propagator(delta_e: float, t: float) -> np.ndarray:

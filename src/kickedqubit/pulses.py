@@ -17,11 +17,11 @@ rotating-frame coupling along x picks up the phase ``exp(-i delta_e t)`` in
 its (1, 2) entry. Its integral over any window is closed-form for every
 shape: a Gaussian's goes through the Faddeeva function ``faddeeva``, and a
 z-axis pulse commutes with H0 and integrates as in the Schrodinger picture.
+The closed forms take one upper limit or a whole array of them in one call.
 """
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 import warnings
@@ -108,32 +108,31 @@ def pulse_support(p: Pulse) -> tuple[float, float]:
     return (p.t_start, p.t_start + p.tau)
 
 
-def value_at(p: Pulse, t: float) -> float:
-    """Field amplitude V(t). Undefined for delta kicks, which raise."""
+def value_at(p: Pulse, t):
+    """Field amplitude V(t) at a time or an array of times. Undefined for delta kicks, which raise."""
     if isinstance(p, DeltaKick):
         raise ValueError("pointwise value undefined for delta kicks")
     if isinstance(p, Gaussian):
-        x = (t - p.t_k) / p.tau
-        return p.alpha / (math.sqrt(math.pi) * p.tau) * math.exp(-x * x)
-    if p.t_start <= t <= p.t_start + p.tau:
-        return p.alpha / p.tau
-    return 0.0
+        return p.alpha / (math.sqrt(math.pi) * p.tau) * np.exp(-(((t - p.t_k) / p.tau) ** 2))
+    return np.where((p.t_start <= t) & (t <= p.t_start + p.tau), p.alpha / p.tau, 0.0)
 
 
-def integrated_strength(p: Pulse, t0: float, t: float) -> float:
-    """Integral of V over [t0, t], in closed form for every shape.
+def integrated_strength(p: Pulse, t0: float, t):
+    """Integral of V over [t0, t], in closed form for every shape; ``t`` may be an array.
 
     A kick exactly at an endpoint counts as inside the interval.
     """
-    if t < t0:
+    if np.any(t < t0):
         raise ValueError(f"integration endpoint t = {t!r} precedes t0 = {t0!r}")
     if isinstance(p, DeltaKick):
-        return p.alpha if t0 <= p.t_k <= t else 0.0
+        return p.alpha * ((t0 <= p.t_k) & (p.t_k <= t))
     if isinstance(p, Gaussian):
-        return 0.5 * p.alpha * (math.erf((t - p.t_k) / p.tau) - math.erf((t0 - p.t_k) / p.tau))
-    lo = max(t0, p.t_start)
-    hi = min(t, p.t_start + p.tau)
-    return p.alpha / p.tau * max(0.0, hi - lo)
+        erf = math.erf if np.ndim(t) == 0 else _erf
+        return 0.5 * p.alpha * (erf((t - p.t_k) / p.tau) - math.erf((t0 - p.t_k) / p.tau))
+    return p.alpha / p.tau * np.maximum(0.0, np.minimum(t, p.t_start + p.tau) - max(t0, p.t_start))
+
+
+_erf = np.vectorize(math.erf, otypes=[float])  # elementwise math.erf, so arrays get its values
 
 
 @dataclass(frozen=True)
@@ -196,43 +195,37 @@ def rotated_axis_matrix(delta_e: float, t: float, axis: PauliAxis) -> np.ndarray
     return pauli(PauliAxis.Z)
 
 
-def coupling_at(delta_e: float, pulses: list[Pulse] | tuple[Pulse, ...], t: float, rep: Representation) -> np.ndarray:
-    """Pointwise coupling sum_p V_p(t) sigma_axis, rotated to t in the interaction picture; kicks raise."""
-    v = np.zeros((2, 2), dtype=complex)
-    for p in pulses:
-        amp = value_at(p, t)
-        if amp != 0.0:
-            axis = rotated_axis_matrix(delta_e, t, p.axis) if rep is Representation.INTERACTION else pauli(p.axis)
-            v = v + amp * axis
-    return v
-
-
 def coupling_samples(delta_e: float, pulses: list[Pulse] | tuple[Pulse, ...], times: np.ndarray, rep: Representation):
-    """:func:`coupling_at` at every time of the array ``times``, shape (len(times), 2, 2); kicks raise."""
+    """sum_p V_p(t) sigma_axis at every time of the array ``times``, shape (len(times), 2, 2); kicks raise.
+
+    In the interaction picture each axis is rotated to its time as in :func:`rotated_axis_matrix`.
+    """
     v = np.zeros((len(times), 2, 2), dtype=complex)
     for p in pulses:
-        if isinstance(p, DeltaKick):
-            raise ValueError("pointwise value undefined for delta kicks")
-        if isinstance(p, Gaussian):
-            amp = p.alpha / (math.sqrt(math.pi) * p.tau) * np.exp(-(((times - p.t_k) / p.tau) ** 2))
-        else:
-            amp = np.where((p.t_start <= times) & (times <= p.t_start + p.tau), p.alpha / p.tau, 0.0)
+        amp = value_at(p, times)
         if rep is Representation.INTERACTION and p.axis is not PauliAxis.Z:  # as in rotated_axis_matrix
-            upper = amp * pauli(p.axis)[0, 1] * np.exp(-1j * delta_e * times)
-            v[:, [0, 1], [1, 0]] += np.stack((upper, upper.conj()), axis=1)
+            v += _offdiagonal(amp * pauli(p.axis)[0, 1] * np.exp(-1j * delta_e * times))
         else:
             v += amp[:, None, None] * pauli(p.axis)
     return v
 
 
+def _offdiagonal(upper) -> np.ndarray:
+    """Hermitian matrices [[0, u], [conj u, 0]] for an upper entry u of any shape, shape u.shape + (2, 2)."""
+    m = np.zeros(np.shape(upper) + (2, 2), dtype=complex)
+    m[..., 0, 1] = upper
+    m[..., 1, 0] = np.conj(upper)
+    return m
+
+
 def schrodinger_hamiltonian(s: Schedule, t: float) -> np.ndarray:
     """H(t) = -(delta_e/2) sigma_z + sum_p V_p(t) sigma_axis."""
-    return -0.5 * s.delta_e * SIGMA_Z + coupling_at(s.delta_e, s.pulses, t, Representation.SCHRODINGER)
+    return -0.5 * s.delta_e * SIGMA_Z + coupling_samples(s.delta_e, s.pulses, np.array([t]), Representation.SCHRODINGER)[0]
 
 
 def interaction_potential(s: Schedule, t: float) -> np.ndarray:
     """Rotating-frame coupling: sum_p V_p(t) * rotated sigma_axis at time t."""
-    return coupling_at(s.delta_e, s.pulses, t, Representation.INTERACTION)
+    return coupling_samples(s.delta_e, s.pulses, np.array([t]), Representation.INTERACTION)[0]
 
 
 def _weideman_coefficients(n: int) -> tuple[float, list[float]]:
@@ -248,14 +241,13 @@ _W_SCALE, _W_COEFFS = _weideman_coefficients(40)
 _INV_SQRT_PI = 1.0 / math.sqrt(math.pi)
 
 
-def faddeeva(z: complex) -> complex:
+def faddeeva(z):
     """w(z) = exp(-z^2) erfc(-iz) for Im z >= 0, to about 2e-14 relative error.
 
     Weideman's 40-term rational expansion (Weideman 1994, SIAM J. Numer. Anal.
-    31:1497), by Horner's rule on Python complex numbers, which scalar numpy
-    calls would make ten times slower.
+    31:1497), by Horner's rule on a Python complex, or at once on an array.
     """
-    if z.imag < 0.0:
+    if np.any(z.imag < 0.0):
         raise ValueError(f"faddeeva needs Im z >= 0, got {z!r}")
     d = _W_SCALE - 1j * z
     x = (_W_SCALE + 1j * z) / d
@@ -265,18 +257,20 @@ def faddeeva(z: complex) -> complex:
     return (2.0 * p / d + _INV_SQRT_PI) / d
 
 
-def _damped_erf(u: float, c: float) -> complex:
-    """exp(-c^2) erf(u + ic), through w in the upper half-plane so every term stays bounded."""
-    sign = 1.0 if u >= 0.0 else -1.0
-    tail = cmath.exp(complex(-u * u, -2.0 * c * u)) * faddeeva(sign * complex(-c, u))
+def _damped_erf(u, c: float):
+    """exp(-c^2) erf(u + ic) for a float or array u, through w in the upper half-plane so every term stays bounded."""
+    sign = 2.0 * (u >= 0.0) - 1.0
+    tail = np.exp(-u * u - 2j * c * u) * faddeeva(sign * (1j * u - c))
     return sign * (math.exp(-c * c) - tail)
 
 
 def pulse_coupling_integral(
-    p: Pulse, delta_e: float, lo: float, hi: float, rep: Representation
+    p: Pulse, delta_e: float, lo: float, hi, rep: Representation
 ) -> np.ndarray:
     """Integral of this pulse's coupling matrix over [lo, hi], in closed form.
 
+    ``hi`` is one upper limit or an array of them; the result has shape
+    ``np.shape(hi) + (2, 2)``, and a limit at or before the support gives 0.
     Kicks contribute ``alpha`` times the (rotated) axis matrix when ``t_k``
     lies in the closed interval. Smooth pulses use the integrated strength in
     the Schrodinger picture and on the z axis, which commutes with H0. In the
@@ -286,32 +280,28 @@ def pulse_coupling_integral(
     where u = (t - t_k) / tau and E(u) = exp(-c^2) erf(u + ic), c = delta_e tau / 2.
     """
     if isinstance(p, DeltaKick):
-        if lo <= p.t_k <= hi:
-            if rep is Representation.INTERACTION:
-                return p.alpha * rotated_axis_matrix(delta_e, p.t_k, p.axis)
-            return p.alpha * pauli(p.axis)
-        return np.zeros((2, 2), dtype=complex)
+        axis = rotated_axis_matrix(delta_e, p.t_k, p.axis) if rep is Representation.INTERACTION else pauli(p.axis)
+        return np.multiply.outer(p.alpha * ((lo <= p.t_k) & (p.t_k <= hi)), axis)
 
-    a, b = pulse_support(p)
-    a, b = max(a, lo), min(b, hi)
-    if b <= a:
-        return np.zeros((2, 2), dtype=complex)
+    a, end = pulse_support(p)
+    a = max(a, lo)
+    b = np.minimum(np.maximum(hi, a), max(a, end))  # b = a where [lo, hi] misses the support
     if rep is Representation.SCHRODINGER or p.axis is PauliAxis.Z:
-        return integrated_strength(p, a, b) * pauli(p.axis)
+        return np.multiply.outer(integrated_strength(p, a, b), pauli(p.axis))
     if isinstance(p, Rectangular):
         w = b - a
-        share = w * np.sinc(delta_e * w / (2.0 * math.pi)) / p.tau
-        return p.alpha * share * rotated_axis_matrix(delta_e, 0.5 * (a + b), p.axis)
-    c = 0.5 * delta_e * p.tau
-    j = 0.5 * p.alpha * (_damped_erf((b - p.t_k) / p.tau, c) - _damped_erf((a - p.t_k) / p.tau, c))
-    j *= rotated_axis_matrix(delta_e, p.t_k, p.axis)[0, 1]
-    return np.array([[0.0, j], [j.conjugate(), 0.0]])
+        amount, t_axis = p.alpha * (w * np.sinc(delta_e * w / (2.0 * math.pi)) / p.tau), 0.5 * (a + b)
+    else:
+        c = 0.5 * delta_e * p.tau
+        amount = 0.5 * p.alpha * (_damped_erf((b - p.t_k) / p.tau, c) - _damped_erf((a - p.t_k) / p.tau, c))
+        t_axis = p.t_k
+    return _offdiagonal(amount * (pauli(p.axis)[0, 1] * np.exp(-1j * (delta_e * t_axis))))
 
 
-def coupling_integral(s: Schedule, lo: float, hi: float, rep: Representation) -> np.ndarray:
-    """Integral of the full coupling over [lo, hi] (H0 excluded), in closed form."""
+def coupling_integral(s: Schedule, lo: float, hi, rep: Representation) -> np.ndarray:
+    """Integral of the full coupling over [lo, hi] (H0 excluded), in closed form; ``hi`` may be an array."""
     terms = (pulse_coupling_integral(p, s.delta_e, lo, hi, rep) for p in s.pulses)
-    return sum(terms, np.zeros((2, 2), dtype=complex))
+    return sum(terms, np.zeros(np.shape(hi) + (2, 2), dtype=complex))
 
 
 def time_average(s: Schedule, rep: Representation) -> np.ndarray:

@@ -407,3 +407,30 @@ def test_unstable_step_exits_5_without_output(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # The default step collapses U under this pulse; the ordered column would read ~1e-19.
+        (["obs-time", "--delta-e", "1", "--alpha", "200", "--tau", "0.5", "--t-k", "5", "--tf-count", "4"],
+         "unitarity defect"),
+        # No Simpson level meets the gap tolerance at this strength: refused at the interval bound.
+        (["pert2", "--delta-e", "1", "--tf", "400", "--pulses", "gaussian:100000:200:30; rect:100000:50:200"],
+         "intervals in one level"),
+    ],
+    ids=["obs-time-collapsed", "pert2-interval-bound"],
+)
+def test_numeric_failure_exits_5_without_output(capsys, argv, message):
+    assert run(argv) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_pert2_strong_smooth_schedule_still_answers(capsys):
+    # The same schedule at alpha = 1000 needs 32768 intervals in its widest level, inside the bound.
+    argv = ["pert2", "--delta-e", "1", "--tf", "400", "--pulses", "gaussian:1000:200:30; rect:1000:50:200"]
+    assert run(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["identity_residual"] <= TOL_QUAD2

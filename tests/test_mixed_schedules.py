@@ -21,8 +21,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from kickedqubit.ode import IntegratorConfig, default_step, evolve, propagate
 from kickedqubit.perturbation import TOL_QUAD2, dyson_second_order
 from kickedqubit.propagators import change_representation, kick_sequence
-from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule, coupling_at, pulse_support
+from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule, pulse_support
 from kickedqubit.su2 import SIGMA_Z, PauliAxis, exp_minus_i_generator
+from oracles import coupling_sum
 
 TF = 3.0
 AXES = st.sampled_from((PauliAxis.X, PauliAxis.Y))
@@ -166,7 +167,7 @@ def per_step_rk4(s: Schedule, cfg: IntegratorConfig) -> tuple[np.ndarray, np.nda
         for k in range(1, n + 1):
             end = b if k == n else a + k * h
             if schrodinger or active:
-                g0, mid, g1 = (coupling_at(s.delta_e, active, x, cfg.representation) + h0 for x in (t, t + 0.5 * h, end))
+                g0, mid, g1 = (coupling_sum(s.delta_e, active, x, cfg.representation) + h0 for x in (t, t + 0.5 * h, end))
                 k1 = -1j * (g0 @ u)
                 k2 = -1j * (mid @ (u + 0.5 * h * k1))
                 k3 = -1j * (mid @ (u + 0.5 * h * k2))
@@ -208,7 +209,7 @@ def exponential_midpoint(s: Schedule, n: int) -> np.ndarray:
     for a, b in zip(bounds, bounds[1:]):
         h = (b - a) / n
         for k in range(n):
-            v = coupling_at(s.delta_e, smooth, a + (k + 0.5) * h, Representation.INTERACTION)
+            v = coupling_sum(s.delta_e, smooth, a + (k + 0.5) * h, Representation.INTERACTION)
             u = exp_minus_i_generator(v, h) @ u
         u = kick_sequence(s.delta_e, kicks.get(b, ())) @ u
     return u

@@ -13,7 +13,7 @@ from kickedqubit.ode import (
     evolve_nto_reference,
     propagate,
 )
-from kickedqubit.propagators import change_representation, kick_sequence, single_kick
+from kickedqubit.propagators import change_representation, kick_sequence, nto_propagator, single_kick
 from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
 from kickedqubit.su2 import ID2, PauliAxis, unitarity_defect
 from kickedqubit.units import preset_2s2p, rabi_period
@@ -260,6 +260,46 @@ def test_nto_reference_schrodinger_damps():
     values = [p2 for _, p2 in rows]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert values[-1] < 0.1 * values[0]
+
+
+def truncated_nto_reference(s, rep, grid):
+    """The route evolve_nto_reference replaced: one truncated Schedule and one nto_propagator per T_f."""
+    rows = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # truncation clips pulse support by design
+        for tf in grid:
+            u = nto_propagator(Schedule(s.delta_e, s.pulses, s.t0, tf), rep) if tf > s.t0 else None
+            rows.append((tf, 0.0 if u is None else float(abs(u[1, 0]) ** 2)))
+    return rows
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+@pytest.mark.parametrize(
+    "pulses",
+    [
+        (DeltaKick(0.4, 1.0), DeltaKick(-0.7, 2.5, PauliAxis.Y), DeltaKick(0.3, 2.5, PauliAxis.Z)),
+        (Gaussian(0.8, 2.0, 0.4, PauliAxis.Z), Rectangular(0.5, 1.0, 2.0, PauliAxis.Z)),
+        (Gaussian(0.9, 2.0, 0.5), Rectangular(0.6, 0.5, 1.5, PauliAxis.Y), DeltaKick(0.2, 3.0)),
+    ],
+    ids=["kicks", "z-axis", "mixed"],
+)
+def test_nto_reference_is_the_truncated_schedule_route(pulses, rep):
+    # Observation times at t0, on kicks and support ends, and inside every support.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = Schedule(1.3, pulses, 0.0, 5.0)
+    grid = [0.0, 0.3, 0.5, 1.0, 1.6, 2.0, 2.2, 2.5, 3.0, 3.4, 5.0]
+    got = evolve_nto_reference(s, rep, grid)
+    want = truncated_nto_reference(s, rep, grid)
+    assert [tf for tf, _ in got] == grid
+    assert max(abs(a - b) for (_, a), (_, b) in zip(got, want)) <= 1e-15
+
+
+@pytest.mark.parametrize("tf", [math.nan, math.inf, -math.inf, -1.0])
+def test_nto_reference_refuses_a_bad_observation_time(tf):
+    s = narrow_pulse_schedule()
+    with pytest.raises(ValueError, match="finite|precedes"):
+        evolve_nto_reference(s, Representation.INTERACTION, [s.t0 + 1.0, tf])
 
 
 def test_convergence_ratio_fourth_order():

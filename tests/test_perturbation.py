@@ -13,8 +13,8 @@ from kickedqubit.perturbation import (
     theta_split_weights,
 )
 from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
-from kickedqubit.quadrature import adaptive_simpson
 from kickedqubit.su2 import SIGMA_Z, PauliAxis, dagger
+from oracles import recursive_simpson
 
 TWO_KICKS = Schedule(0.9, (DeltaKick(0.3, 1.0), DeltaKick(0.7, 2.2)), 0.0, 3.0)
 GAUSSIAN = Schedule(0.8, (Gaussian(0.9, 2.0, 0.3),), 0.0, 4.0)
@@ -49,7 +49,7 @@ def test_ordering_weight_kills_symmetric_integrand():
     # Integrating the sgn weight against a symmetric integrand over the full
     # square must vanish.
     def outer(t1):
-        return adaptive_simpson(
+        return recursive_simpson(
             lambda t2: theta_split_weights(t1, t2)[1] * math.exp(-(t1 - 1) ** 2 - (t2 - 1) ** 2)
             if t1 != t2
             else 0.0,
@@ -58,7 +58,7 @@ def test_ordering_weight_kills_symmetric_integrand():
             1e-10,
         )
 
-    total = adaptive_simpson(outer, 0.0, 2.0, 1e-9)
+    total = recursive_simpson(outer, 0.0, 2.0, 1e-9)
     assert abs(total) < TOL_QUAD2
 
 
@@ -119,8 +119,9 @@ def test_central_identity_quadrature_path():
 def test_quadrature_path_against_brute_force_nested_quadrature(s):
     # Independent slow route, sharing no closed form and no per-pulse outer
     # loop with the library: at every outer node K(t1) is a fresh per-pulse
-    # quadrature of V from t0, and the outer Simpson takes the full V(t1) over
-    # the intervals between all sorted clipped support endpoints. With a gap
+    # quadrature of V from t0, and a recursive Simpson, one node per call,
+    # takes the full V(t1) over the intervals between all sorted clipped
+    # support endpoints. With a gap
     # K is checked across it; with overlap, where two pulses drive at once.
     from kickedqubit.pulses import interaction_potential, pulse_support, rotated_axis_matrix, value_at
 
@@ -131,14 +132,14 @@ def test_quadrature_path_against_brute_force_nested_quadrature(s):
     @functools.lru_cache(maxsize=None)  # a pulse's whole support recurs beyond it
     def piece(p, a, b):
         v = lambda t: value_at(p, t) * rotated_axis_matrix(s.delta_e, t, p.axis)
-        return adaptive_simpson(v, a, b, 1e-10) if b > a else np.zeros((2, 2), dtype=complex)
+        return recursive_simpson(v, a, b, 1e-10) if b > a else np.zeros((2, 2), dtype=complex)
 
     def k_of(t1):
         return sum(piece(p, *clipped(p, t1)) for p in s.pulses)
 
     ends = sorted({e for p in s.pulses for e in clipped(p, s.tf)})
     brute = -sum(
-        adaptive_simpson(lambda t1: interaction_potential(s, t1) @ k_of(t1), lo, hi, 1e-9)
+        recursive_simpson(lambda t1: interaction_potential(s, t1) @ k_of(t1), lo, hi, 1e-9)
         for lo, hi in zip(ends, ends[1:])
     )
     b = dyson_second_order(s)

@@ -13,7 +13,7 @@ from kickedqubit.pulses import (
     Rectangular,
     Representation,
     Schedule,
-    coupling_at,
+    coupling_integral,
     coupling_samples,
     faddeeva,
     integrated_strength,
@@ -25,8 +25,8 @@ from kickedqubit.pulses import (
     time_average,
     value_at,
 )
-from kickedqubit.quadrature import adaptive_simpson
 from kickedqubit.su2 import SIGMA_X, SIGMA_Z, PauliAxis, dagger, exp_minus_i_generator
+from oracles import coupling_sum, recursive_simpson
 
 
 def conjugated_coupling(delta_e, t, axis):
@@ -90,7 +90,7 @@ def test_integrated_strength_matches_quadrature():
     pulses = [Gaussian(0.8, 1.0, 0.3), Rectangular(1.1, 0.5, 2.0)]
     for p in pulses:
         lo, hi = pulse_support(p)
-        quad = adaptive_simpson(lambda t: value_at(p, t), lo, hi, 1e-11)
+        quad = recursive_simpson(lambda t: value_at(p, t), lo, hi, 1e-11)
         assert quad == pytest.approx(integrated_strength(p, lo, hi), abs=1e-10)
 
 
@@ -101,7 +101,7 @@ def test_schedule_strength_sum_quadrature_vs_closed_form():
     total = 0.0
     for p in s.pulses:
         lo, hi = pulse_support(p)
-        total += adaptive_simpson(lambda t, p=p: value_at(p, t), lo, hi, 1e-11)
+        total += recursive_simpson(lambda t, p=p: value_at(p, t), lo, hi, 1e-11)
     assert total == pytest.approx(sum(p.alpha for p in s.pulses), abs=1e-10)
 
 
@@ -186,14 +186,14 @@ SMOOTH_PULSES = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(SMOOTH_PULSES, st.floats(-3.0, 3.0), st.lists(st.floats(-8.0, 8.0), max_size=20), st.sampled_from(Representation))
-def test_coupling_samples_is_coupling_at_at_every_time(pulses, delta_e, times, rep):
+def test_coupling_samples_is_the_pointwise_sum_at_every_time(pulses, delta_e, times, rep):
     # Rectangular edges are sampled exactly: the pulse is on at both ends.
     times += [e for p in pulses if isinstance(p, Rectangular) for e in pulse_support(p)]
     batch = coupling_samples(delta_e, pulses, np.array(times), rep)
     assert batch.shape == (len(times), 2, 2)
     scale = sum(abs(p.alpha) / p.tau for p in pulses)
     for t, v in zip(times, batch):
-        np.testing.assert_allclose(v, coupling_at(delta_e, pulses, t, rep), rtol=1e-15, atol=1e-15 * scale)
+        np.testing.assert_allclose(v, coupling_sum(delta_e, pulses, t, rep), rtol=1e-15, atol=1e-15 * scale)
 
 
 def test_coupling_samples_rejects_kicks():
@@ -287,7 +287,7 @@ def test_interaction_coupling_integral_matches_quadrature(
     a, b = max(a, lo), min(b, hi)
     expected = np.zeros((2, 2), dtype=complex)
     if b > a:
-        expected = adaptive_simpson(
+        expected = recursive_simpson(
             lambda t: value_at(p, t) * rotated_axis_matrix(delta_e, t, axis), a, b, 1e-13
         )
     assert np.max(np.abs(got - expected)) <= 1e-12
@@ -326,3 +326,53 @@ def test_faddeeva_against_scipy_wofz():
     got = np.array([faddeeva(complex(v)) for v in z])
     want = wofz(z)
     assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
+
+
+ANY_PULSE = (
+    st.builds(DeltaKick, st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.sampled_from(PauliAxis))
+    | st.builds(Gaussian, st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.05, 2.0), st.sampled_from(PauliAxis))
+    | st.builds(Rectangular, st.floats(-2.0, 2.0), st.floats(-3.0, 3.0), st.floats(0.05, 2.0), st.sampled_from(PauliAxis))
+)
+# Limits as fractions of a support: before it, on its ends, inside and after it.
+FRACTIONS = st.lists(st.sampled_from([-0.5, 0.0, 1.0, 1.5]) | st.floats(-1.0, 2.0), min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(ANY_PULSE, min_size=1, max_size=4),
+    st.floats(-3.0, 3.0),
+    st.floats(-15.0, 1.0),
+    FRACTIONS,
+    st.sampled_from(Representation),
+)
+def test_array_limits_give_the_stacked_scalar_integrals(pulses, delta_e, lo, fractions, rep):
+    limits = np.array([a + f * (b - a + 0.1) for p in pulses for a, b in [pulse_support(p)] for f in fractions])
+    scale = 4e-15 * max(1.0, sum(abs(p.alpha) for p in pulses))
+    for p in pulses:
+        stacked = np.array([pulse_coupling_integral(p, delta_e, lo, hi, rep) for hi in limits])
+        got = pulse_coupling_integral(p, delta_e, lo, limits, rep)
+        assert got.shape == limits.shape + (2, 2)
+        assert np.max(np.abs(got - stacked)) <= scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = Schedule(delta_e, tuple(pulses), -20.0, 20.0)
+    stacked = np.array([coupling_integral(s, lo, hi, rep) for hi in limits])
+    grid = limits.reshape(-1, 1)
+    got = coupling_integral(s, lo, grid, rep)
+    assert got.shape == grid.shape + (2, 2)
+    assert np.max(np.abs(got[:, 0] - stacked)) <= scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-60.0, 60.0), st.floats(0.0, 60.0)), min_size=1, max_size=30))
+def test_array_faddeeva_is_the_scalar_function_elementwise(points):
+    z = np.array([complex(x, y) for x, y in points] + [0j, 1e3j, 700.0 + 700.0j, -1e3 + 0j])
+    got = faddeeva(z)
+    assert got.shape == z.shape
+    want = np.array([faddeeva(complex(v)) for v in z])
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 2e-15
+
+
+def test_array_faddeeva_rejects_any_point_in_the_lower_half_plane():
+    with pytest.raises(ValueError, match="Im z"):
+        faddeeva(np.array([0.3 + 1.0j, 0.3 - 1e-3j]))
