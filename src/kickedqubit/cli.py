@@ -24,6 +24,7 @@ configuration produces byte-identical output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -108,77 +109,71 @@ def parse_pulses(text: str) -> tuple:
     return tuple(pulses)
 
 
-def _merged(args: argparse.Namespace, file_opts: dict[str, str], key: str, default=None):
-    """Flag > config file > default."""
-    flag = getattr(args, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in file_opts:
-        return file_opts[key]
-    return default
-
-
-def _as_float(value, key: str) -> float:
+def _float(opts: dict, key: str, default=None) -> float:
+    value = opts.get(key, default)
+    if value is None:
+        raise ConfigError(f"{key} is required")
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"field {key!r} must be a number, got {value!r}") from None
 
 
-def _as_int(value, key: str) -> int:
+def _int(opts: dict, key: str, default: int) -> int:
+    value = opts.get(key, default)
     try:
         return int(str(value), 10)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ConfigError(f"field {key!r} must be an integer, got {value!r}") from None
 
 
-def _float_list(value: str, key: str) -> list[float]:
-    parts = [p for p in value.replace(",", " ").split() if p]
+def _floats(opts: dict, key: str) -> list[float] | None:
+    """The numbers listed under ``key``, split at spaces or commas; None when it is not given."""
+    if key not in opts:
+        return None
+    parts = opts[key].replace(",", " ").split()
     if not parts:
         raise ConfigError(f"field {key!r} must list at least one number")
-    return [_as_float(p, key) for p in parts]
+    return [_float({key: part}, key) for part in parts]
 
 
-def _is_preset(args, opts) -> bool:
+def _is_preset(opts: dict) -> bool:
     """True when the 2s-2p preset is selected; another name or a PRESET_FIXED input is an error."""
-    preset = _merged(args, opts, "preset")
+    preset = opts.get("preset")
     if preset is None:
         return False
     if preset != "2s2p":
         raise ConfigError(f"unknown preset {preset!r}")
-    accepted = COMMANDS[args.command][1]
-    fixed = [k for k in PRESET_FIXED if k in accepted and _merged(args, opts, k) is not None]
+    fixed = [k for k in PRESET_FIXED if k in opts]
     if fixed:
         raise ConfigError(f"--preset 2s2p fixes {', '.join(fixed)}; drop the preset or the value")
     return True
 
 
-def _delta_e(args, opts) -> float:
+def _delta_e(opts: dict) -> float:
     """The splitting from delta-e in the given unit, converted to internal units."""
-    delta_e = _merged(args, opts, "delta-e")
-    if delta_e is None:
+    if "delta-e" not in opts:
         raise ConfigError("delta-e is required (or use --preset 2s2p)")
-    unit = _merged(args, opts, "unit", "dimensionless")
+    unit = opts.get("unit", "dimensionless")
     if unit not in ("dimensionless", "ev_ps"):
         raise ConfigError(f"unknown unit {unit!r}; expected dimensionless or ev_ps")
-    value = _as_float(delta_e, "delta-e")
+    value = _float(opts, "delta-e")
     return delta_e_from_ev(value) if unit == "ev_ps" else value
 
 
-def build_schedule(args, opts) -> Schedule:
-    if _is_preset(args, opts):
-        tau = _as_float(_merged(args, opts, "tau", 9.46), "tau")
-        alpha = _as_float(_merged(args, opts, "alpha", math.pi / 2), "alpha")
-        tf = _merged(args, opts, "tf")
-        return preset_2s2p(tau, alpha, None if tf is None else _as_float(tf, "tf"))
+def build_schedule(opts: dict) -> Schedule:
+    if _is_preset(opts):
+        tau = _float(opts, "tau", 9.46)
+        alpha = _float(opts, "alpha", math.pi / 2)
+        return preset_2s2p(tau, alpha, _float(opts, "tf") if "tf" in opts else None)
 
-    unused = [k for k in ("tau", "alpha") if _merged(args, opts, k) is not None]
+    unused = [k for k in ("tau", "alpha") if k in opts]
     if unused:
         raise ConfigError(f"{', '.join(unused)} apply only with --preset 2s2p; give the pulse in --pulses")
-    delta_e = _delta_e(args, opts)
-    t0 = _as_float(_merged(args, opts, "t0", 0.0), "t0")
-    tf = _as_float(_merged(args, opts, "tf", 1.0), "tf")
-    pulses = parse_pulses(_merged(args, opts, "pulses", ""))
+    delta_e = _delta_e(opts)
+    t0 = _float(opts, "t0", 0.0)
+    tf = _float(opts, "tf", 1.0)
+    pulses = parse_pulses(opts.get("pulses", ""))
     try:
         return Schedule(delta_e, pulses, t0, tf)
     except ValueError as exc:
@@ -195,13 +190,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_table(args, opts, header: list[str], rows, comments: dict) -> None:
+def write_table(opts: dict, header: list[str], rows, comments: dict) -> None:
     """Serialize a diagnostic table as CSV (default) or JSON.
 
     CSV carries the resolved configuration in '#' comment lines; JSON holds
     one object per row with the same field names, plus the config object.
     """
-    fmt = str(_merged(args, opts, "format", "csv"))
+    fmt = opts.get("format", "csv")
     if fmt == "json":
         payload = {
             "config": {k: str(v) for k, v in comments.items()},
@@ -209,7 +204,7 @@ def write_table(args, opts, header: list[str], rows, comments: dict) -> None:
                 {name: float(v) for name, v in zip(header, row)} for row in rows
             ],
         }
-        write_json(args.output, payload)
+        write_json(opts["output"], payload)
         return
     if fmt != "csv":
         raise ConfigError(f"unknown output format {fmt!r}; expected csv or json")
@@ -217,16 +212,12 @@ def write_table(args, opts, header: list[str], rows, comments: dict) -> None:
     lines.append(",".join(header))
     for row in rows:
         lines.append(",".join([repr(v) if type(v) is float else _fmt(v) for v in row]))
-    _write(args.output, "\n".join(lines) + "\n")
-
-
-def _complex_pair(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+    _write(opts["output"], "\n".join(lines) + "\n")
 
 
 def matrix_json(m: np.ndarray) -> list[list[list[float]]]:
     """2x2 complex matrix as nested [re, im] pairs, row-major."""
-    return [[_complex_pair(m[i, j]) for j in range(2)] for i in range(2)]
+    return [[[z.real, z.imag] for z in row] for row in m.tolist()]
 
 
 def write_json(path: str, obj: dict) -> None:
@@ -244,106 +235,85 @@ def _write(path: str, text: str) -> None:
 # ----------------------------------------------------------------- commands
 
 
-def _resolved_comment(args, opts) -> dict:
+def _resolved_comment(opts: dict) -> dict:
     """The command name and every echoed flag that was set, for the CSV header."""
-    out = {"command": args.command}
-    for key in COMMANDS[args.command][1]:
-        value = _merged(args, opts, key)
-        if value is not None:
-            out[key] = value
-    return out
+    return {k: opts[k] for k in ["command", *COMMANDS[opts["command"]][1]] if k in opts}
 
 
-def cmd_evolve(args, opts) -> None:
-    s = build_schedule(args, opts)
-    rep_text = str(_merged(args, opts, "representation", "schrodinger"))
+def cmd_evolve(opts: dict) -> None:
+    s = build_schedule(opts)
+    rep_text = opts.get("representation", "schrodinger")
     try:
         rep = Representation(rep_text)
     except ValueError:
         raise ConfigError(
             f"unknown representation {rep_text!r}; expected schrodinger or interaction"
         ) from None
-    dt = _merged(args, opts, "dt")
-    dt = default_step(s) if dt is None else _as_float(dt, "dt")
-    record_every = _as_int(_merged(args, opts, "record-every", 1), "record-every")
-    cfg = IntegratorConfig(dt, rep, record_every)
+    dt = _float(opts, "dt") if "dt" in opts else default_step(s)
+    cfg = IntegratorConfig(dt, rep, _int(opts, "record-every", 1))
     traj = evolve(s, cfg)
     rows = np.column_stack((traj.times, traj.probabilities())).tolist()
-    comments = _resolved_comment(args, opts)
+    comments = _resolved_comment(opts)
     comments["dt"] = _fmt(dt)
     comments["representation"] = rep.value
-    write_table(args, opts, ["t", "p1", "p2"], rows, comments)
+    write_table(opts, ["t", "p1", "p2"], rows, comments)
 
 
-def cmd_sweep_surface(args, opts) -> None:
+def cmd_sweep_surface(opts: dict) -> None:
     eps_default, phi_default = default_surface_grids()
-    eps = _merged(args, opts, "eps-grid")
-    phi = _merged(args, opts, "phi-grid")
-    eps_grid = eps_default if eps is None else _float_list(eps, "eps-grid")
-    phi_grid = phi_default if phi is None else _float_list(phi, "phi-grid")
+    eps_grid = _floats(opts, "eps-grid") or eps_default
+    phi_grid = _floats(opts, "phi-grid") or phi_default
     points = ordering_difference_surface(eps_grid, phi_grid)
-    comments = _resolved_comment(args, opts)
+    comments = _resolved_comment(opts)
     comments["eps-points"] = len(eps_grid)
     comments["phi-points"] = len(phi_grid)
-    write_table(args, opts, list(SurfacePoint._fields), points, comments)
+    write_table(opts, list(SurfacePoint._fields), points, comments)
 
 
-def cmd_compare_nto(args, opts) -> None:
+def cmd_compare_nto(opts: dict) -> None:
     names = ("p2_ordered", "p2_nto_interaction", "p2_nto_schrodinger")
-    result = dict(zip(names, transfer_probabilities(build_schedule(args, opts))))
+    result = dict(zip(names, transfer_probabilities(build_schedule(opts))))
     result["difference_interaction"] = result["p2_ordered"] - result["p2_nto_interaction"]
     result["difference_schrodinger"] = result["p2_ordered"] - result["p2_nto_schrodinger"]
-    write_json(args.output, result)
+    write_json(opts["output"], result)
 
 
-def cmd_map_classify(args, opts) -> None:
-    split = _as_float(_merged(args, opts, "split-phase"), "split-phase")
-    strength = _as_float(_merged(args, opts, "strength-phase"), "strength-phase")
+def cmd_map_classify(opts: dict) -> None:
+    split = _float(opts, "split-phase")
+    strength = _float(opts, "strength-phase")
     regime = classify_regime(split, strength)
     write_json(
-        args.output,
+        opts["output"],
         {"half_split_phase": split, "strength_phase": strength, "regime": regime.value},
     )
 
 
-def cmd_pert2(args, opts) -> None:
-    s = build_schedule(args, opts)
-    b = dyson_second_order(s)
-    write_json(
-        args.output,
-        {
-            "zeroth": matrix_json(b.zeroth),
-            "first": matrix_json(b.first),
-            "second_ordered": matrix_json(b.second_ordered),
-            "second_nto": matrix_json(b.second_nto),
-            "commutator_correction": matrix_json(b.commutator_correction),
-            "identity_residual": b.identity_residual(),
-        },
-    )
+def cmd_pert2(opts: dict) -> None:
+    b = dyson_second_order(build_schedule(opts))
+    result = {f.name: matrix_json(getattr(b, f.name)) for f in dataclasses.fields(b)}
+    result["identity_residual"] = b.identity_residual()
+    write_json(opts["output"], result)
 
 
-def cmd_kick_limit(args, opts) -> None:
-    delta_e, alpha, t_k = _preset_or_fields(args, opts)
-    taus = _merged(args, opts, "taus")
-    taus = _default_tau_ladder(delta_e) if taus is None else _float_list(taus, "taus")
+def cmd_kick_limit(opts: dict) -> None:
+    delta_e, alpha, t_k = _preset_or_fields(opts)
+    taus = _floats(opts, "taus") or [_free_period(delta_e, "taus") / 2**k for k in range(1, 9)]
     rows = kick_limit_scan(delta_e, alpha, t_k, taus)
-    write_table(args, opts, list(KickLimitRow._fields), rows, _resolved_comment(args, opts))
+    write_table(opts, list(KickLimitRow._fields), rows, _resolved_comment(opts))
 
 
-def cmd_obs_time(args, opts) -> None:
-    delta_e, alpha, t_k = _preset_or_fields(args, opts)
-    tau = _as_float(_merged(args, opts, "tau", 9.46), "tau")
-    grid = _merged(args, opts, "tf-grid")
+def cmd_obs_time(opts: dict) -> None:
+    delta_e, alpha, t_k = _preset_or_fields(opts)
+    tau = _float(opts, "tau", 9.46)
+    grid = _floats(opts, "tf-grid")
     if grid is None:
         period = _free_period(delta_e, "tf-grid")
-        count = _as_int(_merged(args, opts, "tf-count", 200), "tf-count")
+        count = _int(opts, "tf-count", 200)
         if count < 2:
             raise ConfigError(f"field 'tf-count' must be at least 2, got {count}")
-        grid_values = np.linspace(t_k, t_k + 3.0 * period, count)[1:]
-    else:
-        grid_values = _float_list(grid, "tf-grid")
-    rows = observation_time_scan(delta_e, alpha, t_k, tau, grid_values)
-    write_table(args, opts, list(ObservationRow._fields), rows, _resolved_comment(args, opts))
+        grid = np.linspace(t_k, t_k + 3.0 * period, count)[1:]
+    rows = observation_time_scan(delta_e, alpha, t_k, tau, grid)
+    write_table(opts, list(ObservationRow._fields), rows, _resolved_comment(opts))
 
 
 def _free_period(delta_e: float, flag: str) -> float:
@@ -354,16 +324,12 @@ def _free_period(delta_e: float, flag: str) -> float:
     return period
 
 
-def _default_tau_ladder(delta_e: float) -> list[float]:
-    return [_free_period(delta_e, "taus") / 2**k for k in range(1, 9)]
-
-
-def _preset_or_fields(args, opts) -> tuple[float, float, float]:
+def _preset_or_fields(opts: dict) -> tuple[float, float, float]:
     """(delta_e, alpha, t_k) from the preset or explicit fields."""
-    preset = _is_preset(args, opts)
-    delta_e = delta_e_from_ev(DELTA_E_2S2P_EV) if preset else _delta_e(args, opts)
-    alpha = _as_float(_merged(args, opts, "alpha", math.pi / 2), "alpha")
-    t_k = T_K_2S2P_PS if preset else _as_float(_merged(args, opts, "t-k", 0.0), "t-k")
+    preset = _is_preset(opts)
+    delta_e = delta_e_from_ev(DELTA_E_2S2P_EV) if preset else _delta_e(opts)
+    alpha = _float(opts, "alpha", math.pi / 2)
+    t_k = T_K_2S2P_PS if preset else _float(opts, "t-k", 0.0)
     return delta_e, alpha, t_k
 
 
@@ -373,7 +339,8 @@ SCHEDULE_FLAGS = ["preset", "delta-e", "unit", "t0", "tf", "pulses", "tau", "alp
 PULSE_FLAGS = ["preset", "delta-e", "unit", "alpha", "t-k"]
 
 # name: (handler, echoed flags, other flags). Echoed flags are the problem
-# inputs a CSV table repeats in its '#' header; every flag is also a config key.
+# inputs a CSV table repeats in its '#' header; the config keys of a command's
+# [section] are exactly its flags.
 COMMANDS = {
     "evolve": (cmd_evolve, SCHEDULE_FLAGS, ["dt", "representation", "record-every", "format"]),
     "sweep-surface": (cmd_sweep_surface, [], ["eps-grid", "phi-grid", "format"]),
@@ -398,16 +365,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    handler, echoed, other = COMMANDS[args.command]
     try:
-        file_opts: dict[str, str] = {}
-        if args.config:
-            sections = parse_config_file(args.config)
-            file_opts = sections.get(args.command, {})
+        # One options dict keyed by flag name: the flags given override the
+        # command's [section] of --config, whose other keys are errors.
+        section = parse_config_file(args.config).get(args.command, {}) if args.config else {}
+        unknown = [k for k in section if k not in echoed + other]
+        if unknown:
+            raise ConfigError(f"[{args.command}] in {args.config} has keys that are not its flags: {', '.join(unknown)}")
+        # argparse stores --record-every as record_every; no flag name has its own '_'.
+        opts = section | {k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            COMMANDS[args.command][0](args, file_opts)
+            handler(opts)
     except ConfigError as exc:
         print(f"kickedqubit: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

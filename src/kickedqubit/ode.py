@@ -65,20 +65,16 @@ class Trajectory:
         return np.abs(self.propagators[:, :, 0]) ** 2
 
 
-def fastest_scales(s: Schedule) -> tuple[float, float]:
-    """(shortest pulse width, free oscillation period); inf when absent."""
-    taus = [p.tau for p in s.pulses if isinstance(p, (Gaussian, Rectangular))]
-    tau_min = min(taus) if taus else math.inf
-    return tau_min, rabi_period(s.delta_e)
+def _resolving_step(s: Schedule) -> float:
+    """min(shortest pulse width / 40, free period / 400); inf when the schedule has neither scale."""
+    tau_min = min((p.tau for p in s.pulses if isinstance(p, (Gaussian, Rectangular))), default=math.inf)
+    return min(tau_min / 40.0, rabi_period(s.delta_e) / 400.0)
 
 
 def default_step(s: Schedule) -> float:
     """Step resolving the pulse (40 samples) and the free period (400)."""
-    tau_min, period = fastest_scales(s)
-    dt = min(tau_min / 40.0, period / 400.0)
-    if not math.isfinite(dt):
-        dt = s.duration() / 400.0
-    return dt
+    dt = _resolving_step(s)
+    return dt if math.isfinite(dt) else s.duration() / 400.0
 
 
 def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
@@ -97,8 +93,7 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     the state that starts in level j + 1. U is never renormalized: its
     unitarity defect at tf is the standard integration diagnostic.
     """
-    tau_min, period = fastest_scales(s)
-    threshold = min(tau_min / 20.0, period / 200.0)
+    threshold = 2.0 * _resolving_step(s)
     if cfg.dt > threshold:
         warnings.warn(f"dt = {cfg.dt:g} does not resolve the fastest scale (warning threshold {threshold:g})",
                       stacklevel=2)
@@ -107,24 +102,27 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     kicks = kick_generators(0.0 if schrodinger else s.delta_e, s.kicks())
     edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
     bounds = [s.t0, *sorted(t for t in edges | kicks.keys() if s.t0 < t < s.tf), s.tf]
-    pieces = [(a, b, max(1, math.ceil((b - a) / cfg.dt))) for a, b in zip(bounds, bounds[1:])]
-    n_steps = sum(n for _, _, n in pieces)
-    if n_steps > MAX_STEPS:
-        raise ValueError(f"{n_steps} steps exceed the {MAX_STEPS} step limit")
+    supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
+    # (start, end, steps, the smooth pulses whose support overlaps the piece)
+    pieces = [(a, b, max(1, math.ceil((b - a) / cfg.dt)), [p for p, lo, hi in supports if lo < b and hi > a])
+              for a, b in zip(bounds, bounds[1:])]
+    n_steps = sum(n for _, _, n, _ in pieces)
+    # Only pieces that step count: an interaction-picture piece no support overlaps carries U unchanged.
+    rk4_steps = sum(n for _, _, n, active in pieces if schrodinger or active)
+    if rk4_steps > MAX_STEPS:
+        raise ValueError(f"{rk4_steps} steps exceed the {MAX_STEPS} step limit")
     every = cfg.record_every
     if n_steps // every > MAX_RECORDS:
         raise ValueError(f"{n_steps // every} recorded states exceed the {MAX_RECORDS} record limit")
 
     h0 = -0.5 * s.delta_e * SIGMA_Z if schrodinger else 0.0
-    supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
     u = exp_minus_i_generator(kicks.get(s.t0, np.zeros((2, 2))))
     rows = 1 + n_steps // every + len(pieces)  # t0, every record_every-th step, each cut
     times, propagators = np.empty(rows), np.empty((rows, 2, 2), dtype=complex)
     times[0], propagators[0] = s.t0, u
     recorded = done = 0
-    for a, b, n in pieces:
+    for a, b, n, active in pieces:
         h = (b - a) / n
-        active = [p for p, lo, hi in supports if lo < b and hi > a]
         stepping = schrodinger or bool(active)
         span = CHUNK if stepping else CHUNK * every  # a piece with constant U records up to CHUNK nodes a chunk
         for c0 in range(0, n, span):

@@ -96,6 +96,14 @@ def test_compare_nto_kick_pair(tmp_path):
     assert data["p2_nto_interaction"] == pytest.approx(math.sin(0.6 * math.sin(0.75)) ** 2, abs=1e-12)
 
 
+def test_compare_nto_long_kick_only_window_takes_no_rk4_step(tmp_path):
+    # 6.4e9 steps at the default step, but no smooth pulse: the ordered route carries U across every piece.
+    out = tmp_path / "cmp.json"
+    assert run(["compare-nto", "--delta-e", "1000", "--tf", "1e5", "--pulses", "kick:0.3:1", "-o", out]) == 0
+    data = json.loads(out.read_text())
+    assert data["p2_ordered"] == data["p2_nto_interaction"] == pytest.approx(math.sin(0.3) ** 2, abs=1e-12)
+
+
 def test_compare_nto_kick_outside_the_window_has_no_effect(tmp_path):
     out = tmp_path / "cmp.json"
     assert run(["compare-nto", "--delta-e", "1", "--tf", "1", "--pulses", "kick:0.3:5", "-o", out]) == 0
@@ -196,6 +204,21 @@ def test_config_file_with_flag_override(tmp_path):
     assert json.loads(out.read_text())["regime"] == "kicked-adiabatic"
 
 
+@pytest.mark.parametrize("line", ["record_every = 50", "output = x.csv"])
+def test_config_key_that_is_not_a_flag_exits_2(tmp_path, capsys, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[evolve]\ndelta-e = 1\ntf = 2\n{line}\n")
+    assert run(["evolve", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert all(part in captured.err for part in ("[evolve]", str(cfg), line.split(" =")[0]))
+
+
+def test_missing_required_number_is_named(capsys):
+    assert run(["map-classify", "--split-phase", "1"]) == 2
+    assert "strength-phase is required" in capsys.readouterr().err
+
+
 def test_exit_codes(tmp_path):
     # 2: config errors (missing fields, bad file, unknown preset)
     assert run(["evolve"]) == 2
@@ -273,6 +296,16 @@ def test_csv_comment_header_is_pinned(tmp_path, argv, expected):
     assert run(argv + ["-o", out]) == 0
     _, _, comments = read_csv(out)
     assert comments == [f"# {line}" for line in expected]
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in HEADER_CASES.values()], ids=list(HEADER_CASES))
+def test_config_keys_give_the_run_of_the_same_flags(tmp_path, argv):
+    command, flags = argv[0], argv[1:]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{command}]\n" + "".join(f"{k[2:]} = {v}\n" for k, v in zip(flags[::2], flags[1::2])))
+    assert run(argv + ["-o", tmp_path / "flags.csv"]) == 0
+    assert run([command, "--config", cfg, "-o", tmp_path / "file.csv"]) == 0
+    assert (tmp_path / "file.csv").read_bytes() == (tmp_path / "flags.csv").read_bytes()
 
 
 def test_header_from_config_file(tmp_path):
