@@ -18,7 +18,7 @@ from .diagnostics import (
     p2_nto,
     p2_ordered,
 )
-from .ode import IntegratorConfig, Trajectory, convergence_check, default_step, evolve, evolve_nto_reference
+from .ode import IntegratorConfig, Trajectory, convergence_check, default_step, evolve
 from .perturbation import (
     TOL_QUAD2,
     SecondOrderBreakdown,

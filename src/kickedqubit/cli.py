@@ -76,14 +76,18 @@ def parse_config_file(path: str) -> dict[str, dict[str, str]]:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
+            if current not in COMMANDS:
+                raise ConfigError(f"{path}:{lineno}: section [{current}] names no command")
             sections.setdefault(current, {})
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         if current is None:
             raise ConfigError(f"{path}:{lineno}: key outside any [section]")
-        key, value = line.split("=", 1)
-        sections[current][key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in sections[current]:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats in [{current}]")
+        sections[current][key] = value
     return sections
 
 
@@ -183,13 +187,6 @@ def build_schedule(opts: dict) -> Schedule:
 # -------------------------------------------------------------------- output
 
 
-def _fmt(value) -> str:
-    # repr of a Python float is the shortest decimal that round-trips.
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
 def write_table(opts: dict, header: list[str], rows, comments: dict) -> None:
     """Serialize a diagnostic table as CSV (default) or JSON.
 
@@ -210,8 +207,8 @@ def write_table(opts: dict, header: list[str], rows, comments: dict) -> None:
         raise ConfigError(f"unknown output format {fmt!r}; expected csv or json")
     lines = [f"# {k} = {v}" for k, v in sorted(comments.items())]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join([repr(v) if type(v) is float else _fmt(v) for v in row]))
+    # Every row holds Python floats, whose repr is the shortest decimal that round-trips.
+    lines.extend(",".join(map(repr, row)) for row in rows)
     _write(opts["output"], "\n".join(lines) + "\n")
 
 
@@ -254,7 +251,7 @@ def cmd_evolve(opts: dict) -> None:
     traj = evolve(s, cfg)
     rows = np.column_stack((traj.times, traj.probabilities())).tolist()
     comments = _resolved_comment(opts)
-    comments["dt"] = _fmt(dt)
+    comments["dt"] = repr(dt)
     comments["representation"] = rep.value
     write_table(opts, ["t", "p1", "p2"], rows, comments)
 

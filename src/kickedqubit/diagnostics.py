@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ode import IntegratorConfig, check_unitary, default_step, evolve, evolve_nto_reference, propagate
-from .propagators import nto_propagator
-from .pulses import DeltaKick, Gaussian, Representation, Schedule
+from .ode import IntegratorConfig, check_unitary, default_step, evolve, propagate
+from .propagators import nto_exponential, nto_propagator
+from .pulses import DeltaKick, Gaussian, Representation, Schedule, pulse_coupling_integral
 from .su2 import PauliAxis
 
 TWO_PI = 2.0 * math.pi
@@ -136,10 +136,10 @@ class ObservationRow(NamedTuple):
     p2_nto_interaction: float
 
 
-def _gaussian_schedule(delta_e, alpha, t_k, tau, tf) -> Schedule:
+def _window(delta_e, pulses, tf) -> Schedule:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # wide pulses may overhang t0 = 0
-        return Schedule(delta_e, (Gaussian(alpha, t_k, tau, PauliAxis.X),), 0.0, tf)
+        return Schedule(delta_e, pulses, 0.0, tf)
 
 
 def transfer_probabilities(s: Schedule) -> tuple[float, float, float]:
@@ -168,7 +168,7 @@ def kick_limit_scan(
         raise ValueError("pulse widths must be strictly descending")
     rows = []
     for tau in taus:
-        s = _gaussian_schedule(delta_e, alpha, t_k, tau, t_k + 8.0 * tau)
+        s = _window(delta_e, (Gaussian(alpha, t_k, tau, PauliAxis.X),), t_k + 8.0 * tau)
         rows.append(KickLimitRow(tau, *transfer_probabilities(s)))
     return rows
 
@@ -186,11 +186,11 @@ def observation_time_scan(
     :func:`~kickedqubit.ode.evolve` over [0, max tf], which records
     U(tf, 0) at every observation time; beyond the pulse support it is
     exactly constant, and its final U must pass
-    :func:`~kickedqubit.ode.check_unitary`. The NTO columns come from
-    :func:`~kickedqubit.ode.evolve_nto_reference` on the window-truncated
-    mean coupling, which damps in the Schrodinger picture as the average
-    field shrinks against the splitting, but settles to a constant in the
-    interaction picture.
+    :func:`~kickedqubit.ode.check_unitary`. Each NTO column is the
+    exponential of the pulse's mean coupling over [0, tf], from one
+    closed-form integral at every tf at once: it damps in the Schrodinger
+    picture as the average field shrinks against the splitting, but settles
+    to a constant in the interaction picture.
     """
     tf_grid = [float(t) for t in tf_grid]
     if any(b <= a for a, b in zip(tf_grid, tf_grid[1:])):
@@ -199,22 +199,25 @@ def observation_time_scan(
         raise ValueError("observation times must lie beyond the pulse center t_k")
     if any(t <= 0.0 for t in tf_grid):
         raise ValueError("observation times must lie after t0 = 0")
+    if not all(map(math.isfinite, tf_grid)):
+        raise ValueError("observation times must be finite")
     if not tf_grid:
         return []
 
-    window = _gaussian_schedule(delta_e, alpha, t_k, tau, tf_grid[-1])
+    pulse = Gaussian(alpha, t_k, tau, PauliAxis.X)
     # Zero-area kicks are exactly the identity, but evolve cuts its step grid
     # at every kick time and records U there, on the grid value itself.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # wide pulses may overhang t0 = 0
-        marked = Schedule(delta_e, window.pulses + tuple(DeltaKick(0.0, tf) for tf in tf_grid), 0.0, tf_grid[-1])
+    marked = _window(delta_e, (pulse, *(DeltaKick(0.0, tf) for tf in tf_grid)), tf_grid[-1])
     run = evolve(marked, IntegratorConfig(default_step(marked), Representation.INTERACTION, 10**6))
     check_unitary(run.propagators[-1])
     # Rows by time: a run longer than record_every steps records more rows.
     ordered = dict(zip(run.times.tolist(), np.abs(run.propagators[:, 1, 0]) ** 2))
-    schrodinger = evolve_nto_reference(window, Representation.SCHRODINGER, tf_grid)
-    interaction = evolve_nto_reference(window, Representation.INTERACTION, tf_grid)
+    schrodinger, interaction = (
+        [float(abs(nto_exponential(k, delta_e, tf, rep)[1, 0]) ** 2)
+         for tf, k in zip(tf_grid, pulse_coupling_integral(pulse, delta_e, 0.0, np.array(tf_grid), rep))]
+        for rep in (Representation.SCHRODINGER, Representation.INTERACTION)
+    )
     return [
         ObservationRow(tf, float(ordered[tf]), p2_s, p2_i)
-        for tf, (_, p2_s), (_, p2_i) in zip(tf_grid, schrodinger, interaction)
+        for tf, p2_s, p2_i in zip(tf_grid, schrodinger, interaction)
     ]

@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .propagators import kick_generators, nto_exponential
-from .pulses import Gaussian, Rectangular, Representation, Schedule, coupling_integral, coupling_samples, pulse_support
+from .propagators import kick_generators
+from .pulses import Rectangular, Representation, Schedule, coupling_samples, pulse_center, pulse_support, value_at
 from .su2 import SIGMA_Z, exp_minus_i_generator, unitarity_defect
 from .units import rabi_period
 
@@ -38,6 +38,9 @@ MAX_STEPS = 10**9
 MAX_RECORDS = 10**6
 CHUNK = 1024  # steps whose RK4 step matrices are built at once: a workspace of under 1 MB
 MAX_DEFECT = 1e-6  # largest unitarity defect propagate returns; beyond it its own step has failed
+# Largest h * Vmax of the default step, where Vmax, the sum of the smooth pulses' peak amplitudes,
+# bounds |V(t)|. Presets, demos and benchmark pulses reach 0.0245 at most, so it binds only beyond them.
+STEP_PER_FIELD = 0.05
 
 
 @dataclass(frozen=True)
@@ -66,13 +69,15 @@ class Trajectory:
 
 
 def _resolving_step(s: Schedule) -> float:
-    """min(shortest pulse width / 40, free period / 400); inf when the schedule has neither scale."""
-    tau_min = min((p.tau for p in s.pulses if isinstance(p, (Gaussian, Rectangular))), default=math.inf)
-    return min(tau_min / 40.0, rabi_period(s.delta_e) / 400.0)
+    """min(shortest pulse width / 40, free period / 400, STEP_PER_FIELD / Vmax); inf when the schedule has no scale."""
+    smooth = s.smooth_pulses()
+    tau_min = min((p.tau for p in smooth), default=math.inf)
+    v_max = sum(abs(float(value_at(p, pulse_center(p)))) for p in smooth)
+    return min(tau_min / 40.0, rabi_period(s.delta_e) / 400.0, STEP_PER_FIELD / v_max if v_max else math.inf)
 
 
 def default_step(s: Schedule) -> float:
-    """Step resolving the pulse (40 samples) and the free period (400)."""
+    """Step resolving the pulse (40 samples), the free period (400) and the field strength."""
     dt = _resolving_step(s)
     return dt if math.isfinite(dt) else s.duration() / 400.0
 
@@ -184,31 +189,9 @@ def propagate(s: Schedule) -> np.ndarray:
 def check_unitary(u: np.ndarray) -> np.ndarray:
     """``u``, unless its unitarity defect exceeds :data:`MAX_DEFECT`: then the step that made it has failed."""
     defect = unitarity_defect(u)
-    if defect > MAX_DEFECT:
+    if not defect <= MAX_DEFECT:  # a NaN defect, from entries too large to square, fails too
         raise FloatingPointError(f"unitarity defect {defect:.2g} exceeds {MAX_DEFECT:g}: the step is too coarse")
     return u
-
-
-def evolve_nto_reference(
-    s: Schedule, rep: Representation, tf_grid: list[float] | np.ndarray
-) -> list[tuple[float, float]]:
-    """Transfer probability without time ordering versus observation time.
-
-    For each T_f, |U_21|^2 from state 1 of the NTO propagator of the schedule
-    truncated to [t0, T_f]; T_f = t0 gives exactly 0. One closed-form call
-    gives the coupling integral from t0 to every T_f at once.
-    """
-    tf_grid = [float(tf) for tf in tf_grid]
-    for tf in tf_grid:
-        if tf < s.t0:
-            raise ValueError(f"observation time {tf!r} precedes t0 = {s.t0!r}")
-        if not math.isfinite(tf):
-            raise ValueError(f"tf must be finite, got {tf!r}")
-    k = coupling_integral(s, s.t0, np.array(tf_grid), rep)
-    return [
-        (tf, float(abs(nto_exponential(k_tf, s.delta_e, tf - s.t0, rep)[1, 0]) ** 2) if tf > s.t0 else 0.0)
-        for tf, k_tf in zip(tf_grid, k)
-    ]
 
 
 def convergence_check(s: Schedule, cfg: IntegratorConfig) -> tuple[float, float, float]:

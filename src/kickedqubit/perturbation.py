@@ -132,11 +132,3 @@ def phase_orthogonality_check(s: Schedule) -> tuple[float, float]:
     max_real_diag = float(max(abs(c[0, 0].real), abs(c[1, 1].real)))
     return max_offdiag, max_real_diag
 
-
-__all__ = [
-    "TOL_QUAD2",
-    "SecondOrderBreakdown",
-    "dyson_second_order",
-    "theta_split_weights",
-    "phase_orthogonality_check",
-]

@@ -21,16 +21,11 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL, max_depth:
     """Integrate ``f`` over [a, b] to absolute tolerance ``tol`` per entry.
 
     ``f`` maps an array of times to their values (floats, complex numbers or
-    ndarrays) stacked along the first axis; the result has the shape of one
-    value. Each level halves the tolerance. Reversed bounds negate the result;
-    equal bounds give zero. FloatingPointError when a level would hold more
-    than :data:`MAX_INTERVALS` intervals.
+    ndarrays) stacked along the first axis; the result is a complex array shaped
+    like one value. Widths are signed, so reversed bounds negate the result and
+    equal bounds give zero. Each level halves the tolerance. FloatingPointError
+    when a level would hold more than :data:`MAX_INTERVALS` intervals.
     """
-    a = float(a)
-    b = float(b)
-    if a > b:
-        return -adaptive_simpson(f, b, a, tol, max_depth)
-
     lo, hi = np.array([a]), np.array([b])
     fa, fm, fb = np.asarray(f(np.array([a, 0.5 * (a + b), b])), dtype=complex)[:, None]
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
@@ -52,7 +47,4 @@ def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL, max_depth:
         fa, fm, fb = (np.concatenate((x[go], y[go])) for x, y in ((fa, fm), (flm, frm), (fm, fb)))
         whole = np.concatenate((left[go], right[go]))
         tol, max_depth = 0.5 * tol, max_depth - 1
-    if result.ndim == 0:
-        value = complex(result)
-        return value.real if value.imag == 0.0 else value
     return result

@@ -105,7 +105,11 @@ def exp_minus_i_generator(g: np.ndarray, duration: float = 1.0) -> np.ndarray:
     phi = -c*duration; the degenerate c = 0 case returns the identity.
     """
     gx, gy, gz = bloch_components(g)
-    c = math.sqrt(gx * gx + gy * gy + gz * gz)
-    if c == 0.0:
+    big = max(abs(gx), abs(gy), abs(gz))
+    if big == 0.0:
         return ID2.copy()
-    return exp_i_phi_sigma_u(-c * duration, (gx / c, gy / c, gz / c))
+    # Scaling by a power of two is exact, so the squares neither underflow nor overflow and c keeps its bits.
+    k = math.frexp(big)[1]
+    x, y, z = math.ldexp(gx, -k), math.ldexp(gy, -k), math.ldexp(gz, -k)
+    r = math.sqrt(x * x + y * y + z * z)
+    return exp_i_phi_sigma_u(-math.ldexp(r, k) * duration, (x / r, y / r, z / r))

@@ -4,12 +4,18 @@
 quadrature went level by level: one scalar-argument integrand call per node,
 refined depth first. ``coupling_sum`` is the pointwise coupling written out as
 a sum over pulses of ``value_at`` times the (rotated) axis matrix.
+``piecewise_constant_product`` is the exact propagator of a schedule of kicks
+and Rectangular pulses, and ``truncated_nto_reference`` the NTO transfer
+probability of a schedule cut short at each observation time.
 """
+
+import warnings
 
 import numpy as np
 
-from kickedqubit.pulses import Representation, rotated_axis_matrix, value_at
-from kickedqubit.su2 import pauli
+from kickedqubit.propagators import change_representation, kick_generators, nto_propagator
+from kickedqubit.pulses import Rectangular, Representation, Schedule, rotated_axis_matrix, value_at
+from kickedqubit.su2 import SIGMA_Z, exp_minus_i_generator, pauli
 
 
 def recursive_simpson(f, a, b, tol, max_depth=48):
@@ -51,3 +57,31 @@ def coupling_sum(delta_e, pulses, t, rep):
         axis = rotated_axis_matrix(delta_e, t, p.axis) if rep is Representation.INTERACTION else pauli(p.axis)
         v = v + value_at(p, t) * axis
     return v
+
+
+def piecewise_constant_product(s):
+    """Exact rotating-frame propagator of a schedule of kicks and Rectangular pulses over [t0, tf].
+
+    Between cuts at kicks and pulse edges H is constant in the Schrodinger
+    picture, so each piece is one closed-form SU(2) exponential, the Rabi
+    formula (Rabi 1937, Phys. Rev. 51:652); the kicks at a cut act as exp(-i G).
+    """
+    rects = [p for p in s.pulses if isinstance(p, Rectangular)]
+    kicks = kick_generators(0.0, s.kicks())
+    edges = {t for p in rects for t in (p.t_start, p.t_start + p.tau)}
+    cuts = sorted({s.t0, s.tf, *kicks, *(t for t in edges if s.t0 < t < s.tf)})
+    u = exp_minus_i_generator(kicks.get(s.t0, np.zeros((2, 2))))
+    for a, b in zip(cuts, cuts[1:]):
+        mid = 0.5 * (a + b)
+        h = -0.5 * s.delta_e * SIGMA_Z + sum(value_at(p, mid) * pauli(p.axis) for p in rects)
+        u = exp_minus_i_generator(h, b - a) @ u
+        if b in kicks:
+            u = exp_minus_i_generator(kicks[b]) @ u
+    return change_representation(u, s.delta_e, s.tf, s.t0, Representation.INTERACTION)
+
+
+def truncated_nto_reference(s, rep, grid):
+    """|U_21|^2 of nto_propagator on the schedule cut to [t0, tf], for each tf > t0 of ``grid``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # truncation clips pulse support by design
+        return [float(abs(nto_propagator(Schedule(s.delta_e, s.pulses, s.t0, tf), rep)[1, 0]) ** 2) for tf in grid]

@@ -234,13 +234,43 @@ def test_exit_codes(tmp_path):
     assert run(["map-classify", "--split-phase", "-1", "--strength-phase", "1"]) == 3
     assert run(["obs-time", "--delta-e", "1", "--t-k", "-5", "--tau", "2", "--tf-grid", "-1 2"]) == 3
     # 5: a pulse too strong for propagate's default step leaves its result non-unitary
-    for pulse in ("rect:200:1:1", "gaussian:60:5:0.5"):
+    for pulse in ("rect:1000:1:1", "gaussian:2000:5:0.5"):
         assert run(["compare-nto", "--delta-e", "1", "--tf", "10", "--pulses", pulse, "-o", tmp_path / "p.json"]) == 5
     # 4: unwritable output path
     assert (
         run(["map-classify", "--split-phase", "1", "--strength-phase", "1", "-o", tmp_path / "no" / "dir.json"])
         == 4
     )
+
+
+@pytest.mark.parametrize(
+    "pulse, exact", [("rect:200:1:1", 0.7621113773016374), ("gaussian:60:5:0.5", None)], ids=["rect", "gaussian"]
+)
+def test_compare_nto_answers_a_strong_pulse(capsys, pulse, exact):
+    # The default step resolves the field strength: these runs exited 5 before it did.
+    assert run(["compare-nto", "--delta-e", "1", "--tf", "10", "--pulses", pulse]) == 0
+    p2 = json.loads(capsys.readouterr().out)["p2_ordered"]
+    assert 0.0 <= p2 <= 1.0
+    if exact is not None:  # |U_21|^2 of the exact piecewise-constant product
+        assert p2 == pytest.approx(exact, abs=1e-5)
+
+
+def test_config_section_that_names_no_command_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[evolv]\nrecord-every = 50\n")
+    assert run(["map-classify", "--split-phase", "1", "--strength-phase", "1", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{cfg}:1" in captured.err and "[evolv]" in captured.err
+
+
+def test_config_repeated_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[map-classify]\nsplit-phase = 1\nsplit-phase = 2\nstrength-phase = 1\n")
+    assert run(["map-classify", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{cfg}:3" in captured.err and "split-phase" in captured.err
 
 
 def test_unknown_command_exits_2():
@@ -445,8 +475,8 @@ def test_unstable_step_exits_5_without_output(capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        # The default step collapses U under this pulse; the ordered column would read ~1e-19.
-        (["obs-time", "--delta-e", "1", "--alpha", "200", "--tau", "0.5", "--t-k", "5", "--tf-count", "4"],
+        # The default step still leaves U 3.5e-6 from unitary under this pulse.
+        (["obs-time", "--delta-e", "1", "--alpha", "2000", "--tau", "0.5", "--t-k", "5", "--tf-count", "4"],
          "unitarity defect"),
         # No Simpson level meets the gap tolerance at this strength: refused at the interval bound.
         (["pert2", "--delta-e", "1", "--tf", "400", "--pulses", "gaussian:100000:200:30; rect:100000:50:200"],
@@ -459,6 +489,16 @@ def test_numeric_failure_exits_5_without_output(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_obs_time_answers_a_strong_pulse(tmp_path):
+    # At alpha = 200 the default step used to collapse U, and the run exited 5.
+    out = tmp_path / "obs.csv"
+    argv = ["obs-time", "--delta-e", "1", "--alpha", "200", "--tau", "0.5", "--t-k", "5", "--tf-count", "4"]
+    assert run(argv + ["-o", out]) == 0
+    _, rows, _ = read_csv(out)
+    ordered = [r[1] for r in rows]
+    assert 0.0 < ordered[0] < 1.0 and max(ordered) - min(ordered) == 0.0  # all times lie beyond the support
 
 
 def test_pert2_strong_smooth_schedule_still_answers(capsys):

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import truncated_nto_reference
 
 import kickedqubit.diagnostics as diagnostics
 from kickedqubit.diagnostics import (
@@ -18,7 +19,7 @@ from kickedqubit.diagnostics import (
 )
 from kickedqubit.ode import IntegratorConfig, propagate
 from kickedqubit.propagators import nto_opposite_pair, opposite_kick_pair
-from kickedqubit.pulses import Gaussian, Schedule, pulse_support
+from kickedqubit.pulses import Gaussian, Representation, Schedule, pulse_support
 from kickedqubit.units import delta_e_from_ev, preset_2s2p, rabi_period
 
 
@@ -187,6 +188,20 @@ def test_observation_scan_columns():
     assert max(interaction) - min(interaction) < 1e-10
     # Schrodinger NTO damps: the tail is well below the early values
     assert schrod[-1] < 0.5 * max(schrod)
+
+
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda rep: rep.value)
+def test_observation_scan_nto_is_the_truncated_schedule_route(rep):
+    # Times inside the support [-1, 5], which overhangs t0 = 0, at its end and beyond it. The oracle
+    # builds one truncated Schedule and runs one nto_propagator per time.
+    delta_e, alpha, t_k, tau = 1.3, 0.9, 2.0, 0.5
+    grid = [2.2, 2.5, 3.4, 5.0, 5.5, 9.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = Schedule(delta_e, (Gaussian(alpha, t_k, tau),), 0.0, grid[-1])
+    want = truncated_nto_reference(s, rep, grid)
+    got = [getattr(r, f"p2_nto_{rep.value}") for r in observation_time_scan(delta_e, alpha, t_k, tau, grid)]
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
 
 
 def cli_default_grid(delta_e, t_k):

@@ -174,3 +174,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 def test_zero_generator_gives_identity():
     np.testing.assert_array_equal(exp_minus_i_generator(np.zeros((2, 2)), 5.0), ID2)
+
+
+@pytest.mark.parametrize("scale", [1e-160, 1e160])
+def test_generator_of_extreme_size_exponentiates(scale):
+    # Squaring entries of this size underflows or overflows; the rotation by angle 1 must come out whole.
+    g = 0.6 * SIGMA_X + 0.8 * SIGMA_Z
+    np.testing.assert_allclose(exp_minus_i_generator(scale * g, 1.0 / scale), exp_minus_i_generator(g), atol=1e-15)
