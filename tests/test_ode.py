@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import piecewise_constant_product
+from oracles import piecewise_constant_product, truncated_nto_reference
 
 from kickedqubit.diagnostics import observation_time_scan
 from kickedqubit.ode import (
@@ -17,8 +17,8 @@ from kickedqubit.ode import (
     evolve,
     propagate,
 )
-from kickedqubit.propagators import change_representation, kick_sequence, single_kick
-from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
+from kickedqubit.propagators import change_representation, kick_sequence, nto_exponential, single_kick
+from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule, coupling_integral
 from kickedqubit.su2 import ID2, PauliAxis, unitarity_defect
 from kickedqubit.units import preset_2s2p, rabi_period
 
@@ -239,6 +239,29 @@ def test_trajectory_recording_decimation():
     assert traj.propagators.shape == (len(traj.times), 2, 2)
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
     assert len(traj.times) == 11
+
+
+@pytest.mark.parametrize("rep", list(Representation))
+@pytest.mark.parametrize(
+    "pulses",
+    [
+        (DeltaKick(0.4, 1.0), DeltaKick(-0.7, 2.5, PauliAxis.Y), DeltaKick(0.3, 2.5, PauliAxis.Z)),
+        (Gaussian(0.8, 2.0, 0.4, PauliAxis.Z), Rectangular(0.5, 1.0, 2.0, PauliAxis.Z)),
+        (Gaussian(0.9, 2.0, 0.5), Rectangular(0.6, 0.5, 1.5, PauliAxis.Y), DeltaKick(0.2, 3.0)),
+    ],
+    ids=["kicks", "z-axis", "mixed"],
+)
+def test_nto_reference_is_the_truncated_schedule_route(pulses, rep):
+    # The NTO reference the observation-time scan takes per column: one array coupling integral over
+    # every cut, then nto_exponential per time. Cuts on kicks and support ends, and inside every support.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        s = Schedule(1.3, pulses, 0.0, 5.0)
+    grid = np.array([0.3, 0.5, 1.0, 1.6, 2.0, 2.2, 2.5, 3.0, 3.4, 5.0])
+    k = coupling_integral(s, s.t0, grid, rep)
+    got = [float(abs(nto_exponential(kt, s.delta_e, tf - s.t0, rep)[1, 0]) ** 2) for tf, kt in zip(grid, k)]
+    want = truncated_nto_reference(s, rep, grid)
+    assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
 
 
 @pytest.mark.parametrize("tf", [math.nan, math.inf, -math.inf, -1.0])
