@@ -23,7 +23,6 @@ from .perturbation import (
     TOL_QUAD2,
     SecondOrderBreakdown,
     dyson_second_order,
-    phase_orthogonality_check,
     theta_split_weights,
 )
 from .propagators import (

@@ -44,7 +44,7 @@ from .diagnostics import (
     ordering_difference_surface,
     transfer_probabilities,
 )
-from .ode import IntegratorConfig, default_step, evolve
+from .ode import MAX_RECORDS, IntegratorConfig, default_step, evolve
 from .perturbation import dyson_second_order
 from .pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
 from .su2 import PauliAxis
@@ -306,8 +306,8 @@ def cmd_obs_time(opts: dict) -> None:
     if grid is None:
         period = _free_period(delta_e, "tf-grid")
         count = _int(opts, "tf-count", 200)
-        if count < 2:
-            raise ConfigError(f"field 'tf-count' must be at least 2, got {count}")
+        if not 2 <= count <= MAX_RECORDS:
+            raise ConfigError(f"field 'tf-count' must lie in [2, {MAX_RECORDS}], got {count}")
         grid = np.linspace(t_k, t_k + 3.0 * period, count)[1:]
     rows = observation_time_scan(delta_e, alpha, t_k, tau, grid)
     write_table(opts, list(ObservationRow._fields), rows, _resolved_comment(opts))

@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ode import IntegratorConfig, check_unitary, default_step, evolve, propagate
+from .ode import MAX_RECORDS, IntegratorConfig, check_unitary, default_step, evolve, propagate
 from .propagators import nto_exponential, nto_propagator
-from .pulses import DeltaKick, Gaussian, Representation, Schedule, pulse_coupling_integral
+from .pulses import DeltaKick, Gaussian, Representation, Schedule, _require_finite, pulse_coupling_integral
 from .su2 import PauliAxis
 
 TWO_PI = 2.0 * math.pi
@@ -32,15 +32,15 @@ TWO_PI = 2.0 * math.pi
 
 def p2_ordered(epsilon: float, phi: float) -> float:
     """Exact pair transfer probability (eps * sin(phi))^2."""
-    if abs(epsilon) > 1.0:
-        raise ValueError("epsilon is a sine and must lie in [-1, 1]")
+    if not (abs(epsilon) <= 1.0 and math.isfinite(phi)):  # a NaN fails too
+        raise ValueError(f"epsilon is a sine and must lie in [-1, 1], phi must be finite; got {epsilon!r}, {phi!r}")
     return (epsilon * math.sin(phi)) ** 2
 
 
 def p2_nto(epsilon: float, phi: float) -> float:
     """Pair transfer probability without time ordering, sin(eps * phi)^2."""
-    if abs(epsilon) > 1.0:
-        raise ValueError("epsilon is a sine and must lie in [-1, 1]")
+    if not (abs(epsilon) <= 1.0 and math.isfinite(phi)):  # a NaN fails too
+        raise ValueError(f"epsilon is a sine and must lie in [-1, 1], phi must be finite; got {epsilon!r}, {phi!r}")
     return math.sin(epsilon * phi) ** 2
 
 
@@ -105,6 +105,7 @@ def classify_regime(half_split_phase: float, strength_phase: float) -> MapRegime
     adiabatic according to the strength; both large is adiabatic; anything
     near the boundaries is reported as intermediate.
     """
+    _require_finite(half_split_phase=half_split_phase, strength_phase=strength_phase)
     if half_split_phase < 0.0 or strength_phase < 0.0:
         raise ValueError("phase angles must be nonnegative")
     split_small = half_split_phase < SMALL_PHASE
@@ -192,6 +193,8 @@ def observation_time_scan(
     picture as the average field shrinks against the splitting, but settles
     to a constant in the interaction picture.
     """
+    if len(tf_grid) > MAX_RECORDS:  # each time is a marker kick and a recorded row of one evolve
+        raise ValueError(f"{len(tf_grid)} observation times exceed the {MAX_RECORDS} record limit")
     tf_grid = [float(t) for t in tf_grid]
     if any(b <= a for a, b in zip(tf_grid, tf_grid[1:])):
         raise ValueError("observation-time grid must be strictly ascending")

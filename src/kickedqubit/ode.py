@@ -28,13 +28,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .propagators import kick_generators
-from .pulses import Rectangular, Representation, Schedule, coupling_samples, pulse_center, pulse_support, value_at
+from .pulses import (Rectangular, Representation, Schedule, coupling_samples, pulse_center, pulse_support,
+                     rotation_rate, value_at)
 from .su2 import SIGMA_Z, exp_minus_i_generator, unitarity_defect
 from .units import rabi_period
 
 MAX_STEPS = 10**9
-# Cap on the states one evolve may record (steps / record_every). Each takes
-# 72 bytes (a float64 time and a complex 2x2 U, preallocated): 10^6 is ~72 MB.
+# Cap on the rows one evolve may record: t0, every record_every-th step and each cut. Each
+# takes 72 bytes (a float64 time and a complex 2x2 U, preallocated): 10^6 is ~72 MB.
 MAX_RECORDS = 10**6
 CHUNK = 1024  # steps whose RK4 step matrices are built at once: a workspace of under 1 MB
 MAX_DEFECT = 1e-6  # largest unitarity defect propagate returns; beyond it its own step has failed
@@ -104,7 +105,7 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
                       stacklevel=2)
 
     schrodinger = cfg.representation is Representation.SCHRODINGER
-    kicks = kick_generators(0.0 if schrodinger else s.delta_e, s.kicks())
+    kicks = kick_generators(rotation_rate(s.delta_e, cfg.representation), s.kicks())
     edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
     bounds = [s.t0, *sorted(t for t in edges | kicks.keys() if s.t0 < t < s.tf), s.tf]
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
@@ -117,12 +118,12 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     if rk4_steps > MAX_STEPS:
         raise ValueError(f"{rk4_steps} steps exceed the {MAX_STEPS} step limit")
     every = cfg.record_every
-    if n_steps // every > MAX_RECORDS:
-        raise ValueError(f"{n_steps // every} recorded states exceed the {MAX_RECORDS} record limit")
+    rows = 1 + n_steps // every + len(pieces)  # t0, every record_every-th step, each cut
+    if rows > MAX_RECORDS:
+        raise ValueError(f"{rows} recorded states exceed the {MAX_RECORDS} record limit")
 
     h0 = -0.5 * s.delta_e * SIGMA_Z if schrodinger else 0.0
     u = exp_minus_i_generator(kicks.get(s.t0, np.zeros((2, 2))))
-    rows = 1 + n_steps // every + len(pieces)  # t0, every record_every-th step, each cut
     times, propagators = np.empty(rows), np.empty((rows, 2, 2), dtype=complex)
     times[0], propagators[0] = s.t0, u
     recorded = done = 0

@@ -114,21 +114,3 @@ def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
         second_nto=-0.5 * (k @ k),
         commutator_correction=-0.5 * total[1],
     )
-
-
-def phase_orthogonality_check(s: Schedule) -> tuple[float, float]:
-    """Structure of the ordering correction for x-coupled schedules.
-
-    For couplings along x only, the commutator of rotated couplings is
-    proportional to sigma_z with an imaginary coefficient, so the correction
-    must be diagonal with purely imaginary entries. Returns the largest
-    magnitude found in the forbidden components: (max off-diagonal entry,
-    max real part on the diagonal). Both should sit at quadrature tolerance
-    for x-coupled schedules; for mixed axes the values are reported without
-    any expectation attached.
-    """
-    c = dyson_second_order(s).commutator_correction
-    max_offdiag = float(max(abs(c[0, 1]), abs(c[1, 0])))
-    max_real_diag = float(max(abs(c[0, 0].real), abs(c[1, 1].real)))
-    return max_offdiag, max_real_diag
-

@@ -44,7 +44,7 @@ def kick_generators(delta_e: float, kicks: list[DeltaKick] | tuple[DeltaKick, ..
     coincident narrow pulses; ``delta_e`` = 0 gives the unrotated generators.
     """
     return {
-        t: sum((k.alpha * rotated_axis_matrix(delta_e, k.t_k, k.axis) for k in group), np.zeros((2, 2), dtype=complex))
+        t: sum((rotated_axis_matrix(delta_e, k.t_k, k.axis, k.alpha) for k in group), np.zeros((2, 2), dtype=complex))
         for t, group in groupby(kicks, key=lambda kick: kick.t_k)
     }
 

@@ -14,10 +14,12 @@ All quantities are dimensionless with hbar = 1; products ``delta_e * t`` are
 the only physical combinations (see :mod:`kickedqubit.units` for eV/ps
 conversion). The free Hamiltonian is ``-(delta_e/2) * sigma_z``, so the
 rotating-frame coupling along x picks up the phase ``exp(-i delta_e t)`` in
-its (1, 2) entry. Its integral over any window is closed-form for every
-shape: a Gaussian's goes through the Faddeeva function ``faddeeva``, and a
-z-axis pulse commutes with H0 and integrates as in the Schrodinger picture.
-The closed forms take one upper limit or a whole array of them in one call.
+its (1, 2) entry. One rule, :func:`rotated_axis_matrix`, makes every
+coupling matrix: samples, kicks and integrals, in either picture. The
+integral over any window is closed-form for every shape: a Gaussian's goes
+through the Faddeeva function ``faddeeva``, and a z-axis pulse commutes with
+H0 and integrates as in the Schrodinger picture. The closed forms take one
+upper limit or a whole array of them in one call.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .su2 import SIGMA_Z, PauliAxis, pauli
+from .su2 import SIGMA_Z, PauliAxis
 
 # Gaussian tails beyond this many widths carry < 1e-15 of alpha and are
 # outside the pulse's nominal support.
@@ -175,47 +177,42 @@ class Schedule:
         return self.tf - self.t0
 
 
-def rotated_axis_matrix(delta_e: float, t: float, axis: PauliAxis) -> np.ndarray:
-    """Coupling matrix in the rotating frame: exp(i H0 t) sigma_axis exp(-i H0 t).
+def rotation_rate(delta_e: float, rep: Representation) -> float:
+    """Rotation rate of the x and y axes in a picture: delta_e in the interaction picture, 0 in the Schrodinger one."""
+    return delta_e if rep is Representation.INTERACTION else 0.0
 
-    With H0 = -(delta_e/2) sigma_z this is a rotation of sigma_x, sigma_y in
-    the xy-plane by angle delta_e * t; sigma_z is unchanged. The sign
-    convention puts exp(-i delta_e t) in the (1, 2) entry for axis x.
+
+def rotated_axis_matrix(delta_e: float, t, axis: PauliAxis, amplitude=1.0) -> np.ndarray:
+    """amplitude * exp(i H0 t) sigma_axis exp(-i H0 t) at a time or an array of times: shape (..., 2, 2).
+
+    With H0 = -(delta_e/2) sigma_z this rotates sigma_x, sigma_y in the xy-plane by the angle
+    delta_e * t, putting exp(-i delta_e t) in the (1, 2) entry for axis x; sigma_z is unchanged.
+    ``delta_e`` is the picture's :func:`rotation_rate`: 0 leaves the axis unrotated. ``amplitude``
+    broadcasts against ``t``; on x or y a complex one scales the (1, 2) entry and its conjugate
+    the (2, 1) entry, so the matrix stays Hermitian.
     """
-    theta = delta_e * t
-    if axis is PauliAxis.X:
-        return np.array(
-            [[0.0, np.exp(-1j * theta)], [np.exp(1j * theta), 0.0]], dtype=complex
-        )
-    if axis is PauliAxis.Y:
-        return np.array(
-            [[0.0, -1j * np.exp(-1j * theta)], [1j * np.exp(1j * theta), 0.0]],
-            dtype=complex,
-        )
-    return pauli(PauliAxis.Z)
+    m = np.zeros(np.broadcast(t, amplitude).shape + (2, 2), dtype=complex)
+    if axis is PauliAxis.Z:
+        m[..., 0, 0] = amplitude
+        m[..., 1, 1] = -amplitude
+        return m
+    phase = np.exp(-1j * delta_e * t) if delta_e else 1.0
+    upper = amplitude * (phase if axis is PauliAxis.X else -1j * phase)
+    m[..., 0, 1] = upper
+    m[..., 1, 0] = np.conj(upper)
+    return m
 
 
 def coupling_samples(delta_e: float, pulses: list[Pulse] | tuple[Pulse, ...], times: np.ndarray, rep: Representation):
     """sum_p V_p(t) sigma_axis at every time of the array ``times``, shape (len(times), 2, 2); kicks raise.
 
-    In the interaction picture each axis is rotated to its time as in :func:`rotated_axis_matrix`.
+    Each axis is rotated to its time at the picture's :func:`rotation_rate`.
     """
+    rate = rotation_rate(delta_e, rep)
     v = np.zeros((len(times), 2, 2), dtype=complex)
     for p in pulses:
-        amp = value_at(p, times)
-        if rep is Representation.INTERACTION and p.axis is not PauliAxis.Z:  # as in rotated_axis_matrix
-            v += _offdiagonal(amp * pauli(p.axis)[0, 1] * np.exp(-1j * delta_e * times))
-        else:
-            v += amp[:, None, None] * pauli(p.axis)
+        v += rotated_axis_matrix(rate, times, p.axis, value_at(p, times))
     return v
-
-
-def _offdiagonal(upper) -> np.ndarray:
-    """Hermitian matrices [[0, u], [conj u, 0]] for an upper entry u of any shape, shape u.shape + (2, 2)."""
-    m = np.zeros(np.shape(upper) + (2, 2), dtype=complex)
-    m[..., 0, 1] = upper
-    m[..., 1, 0] = np.conj(upper)
-    return m
 
 
 def schrodinger_hamiltonian(s: Schedule, t: float) -> np.ndarray:
@@ -271,31 +268,31 @@ def pulse_coupling_integral(
 
     ``hi`` is one upper limit or an array of them; the result has shape
     ``np.shape(hi) + (2, 2)``, and a limit at or before the support gives 0.
-    Kicks contribute ``alpha`` times the (rotated) axis matrix when ``t_k``
-    lies in the closed interval. Smooth pulses use the integrated strength in
-    the Schrodinger picture and on the z axis, which commutes with H0. In the
-    interaction picture a Rectangular pulse on [a, b] gives the sinc form,
-    exact at delta_e = 0, with the axis rotated to (a + b) / 2; a Gaussian
-    gives ``(alpha / 2) [E(u_b) - E(u_a)]`` with the axis rotated to ``t_k``,
-    where u = (t - t_k) / tau and E(u) = exp(-c^2) erf(u + ic), c = delta_e tau / 2.
+    Each branch finds an amount and the time its axis is rotated to, and
+    :func:`rotated_axis_matrix` makes the matrix. A kick gives ``alpha`` at
+    ``t_k`` when ``t_k`` lies in the closed interval. A smooth pulse gives its
+    integrated strength where the picture does not rotate its axis: at rate 0
+    or on z. Otherwise a Rectangular pulse on [a, b] gives the sinc form, axis
+    at (a + b) / 2, and a Gaussian ``(alpha / 2) [E(u_b) - E(u_a)]``, axis at
+    ``t_k``, where u = (t - t_k) / tau and E(u) = exp(-c^2) erf(u + ic), c = delta_e tau / 2.
     """
+    rate = rotation_rate(delta_e, rep)
     if isinstance(p, DeltaKick):
-        axis = rotated_axis_matrix(delta_e, p.t_k, p.axis) if rep is Representation.INTERACTION else pauli(p.axis)
-        return np.multiply.outer(p.alpha * ((lo <= p.t_k) & (p.t_k <= hi)), axis)
+        return rotated_axis_matrix(rate, p.t_k, p.axis, p.alpha * ((lo <= p.t_k) & (p.t_k <= hi)))
 
     a, end = pulse_support(p)
     a = max(a, lo)
     b = np.minimum(np.maximum(hi, a), max(a, end))  # b = a where [lo, hi] misses the support
-    if rep is Representation.SCHRODINGER or p.axis is PauliAxis.Z:
-        return np.multiply.outer(integrated_strength(p, a, b), pauli(p.axis))
-    if isinstance(p, Rectangular):
+    if not rate or p.axis is PauliAxis.Z:
+        amount, t_axis = integrated_strength(p, a, b), 0.0
+    elif isinstance(p, Rectangular):
         w = b - a
-        amount, t_axis = p.alpha * (w * np.sinc(delta_e * w / (2.0 * math.pi)) / p.tau), 0.5 * (a + b)
+        amount, t_axis = p.alpha * (w * np.sinc(rate * w / (2.0 * math.pi)) / p.tau), 0.5 * (a + b)
     else:
-        c = 0.5 * delta_e * p.tau
+        c = 0.5 * rate * p.tau
         amount = 0.5 * p.alpha * (_damped_erf((b - p.t_k) / p.tau, c) - _damped_erf((a - p.t_k) / p.tau, c))
         t_axis = p.t_k
-    return _offdiagonal(amount * (pauli(p.axis)[0, 1] * np.exp(-1j * (delta_e * t_axis))))
+    return rotated_axis_matrix(rate, t_axis, p.axis, amount)
 
 
 def coupling_integral(s: Schedule, lo: float, hi, rep: Representation) -> np.ndarray:

@@ -420,6 +420,15 @@ def test_obs_time_tf_count_below_two_exits_2(capsys, count):
     assert "tf-count" in capsys.readouterr().err
 
 
+def test_obs_time_tf_count_above_the_record_limit_exits_2(monkeypatch, capsys):
+    # Refused before the grid is built: each point would be a recorded row of one evolve.
+    monkeypatch.setattr("kickedqubit.cli.MAX_RECORDS", 10)
+    assert run(["obs-time", "--delta-e", "1", "--t-k", "0", "--tau", "1", "--tf-count", "11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tf-count" in captured.err
+
+
 def test_obs_time_tf_count_two_gives_one_row(tmp_path):
     out = tmp_path / "obs.csv"
     assert run(["obs-time", "--delta-e", "1", "--t-k", "0", "--tau", "1", "--tf-count", "2", "-o", out]) == 0
@@ -470,6 +479,24 @@ def test_unstable_step_exits_5_without_output(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "not finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["map-classify", "--split-phase", "nan", "--strength-phase", "1"],
+        ["map-classify", "--split-phase", "inf", "--strength-phase", "1"],
+        ["sweep-surface", "--eps-grid", "nan", "--phi-grid", "1"],
+        ["sweep-surface", "--eps-grid", "0.5", "--phi-grid", "nan"],
+    ],
+    ids=["split-nan", "split-inf", "eps-nan", "phi-nan"],
+)
+def test_non_finite_input_exits_3_without_output(capsys, argv):
+    # These printed NaN or Infinity, which is not JSON, or a row of nan, and exited 0.
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 @pytest.mark.parametrize(

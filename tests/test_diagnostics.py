@@ -37,6 +37,10 @@ def test_epsilon_domain_enforced():
         p2_ordered(1.2, 0.1)
     with pytest.raises(ValueError):
         p2_nto(-1.2, 0.1)
+    for f in (p2_ordered, p2_nto):
+        for eps, phi in ((math.nan, 0.1), (0.5, math.nan), (0.5, math.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                f(eps, phi)
 
 
 def test_closed_forms_match_pair_propagators():
@@ -120,6 +124,9 @@ def test_classify_regime_table():
 def test_classify_regime_rejects_negative():
     with pytest.raises(ValueError):
         classify_regime(-0.1, 1.0)
+    for split, strength in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            classify_regime(split, strength)
 
 
 def test_classify_regime_deterministic_and_total():
@@ -164,13 +171,18 @@ def test_interaction_nto_independent_of_window():
     assert p1 == pytest.approx(p2, abs=1e-12)
 
 
-def test_observation_scan_grid_validation():
+def test_observation_scan_grid_validation(monkeypatch):
     with pytest.raises(ValueError, match="ascending"):
         observation_time_scan(1.0, 0.5, 10.0, 1.0, [30.0, 20.0])
     with pytest.raises(ValueError, match="beyond"):
         observation_time_scan(1.0, 0.5, 10.0, 1.0, [5.0, 20.0])
     with pytest.raises(ValueError, match="after t0"):
         observation_time_scan(1.0, 0.5, -5.0, 2.0, [-1.0, 2.0])
+    # A grid longer than the record limit is refused before its marker kicks are made.
+    monkeypatch.setattr(diagnostics, "MAX_RECORDS", 3)
+    monkeypatch.setattr(diagnostics, "DeltaKick", None)
+    with pytest.raises(ValueError, match="4 observation times exceed the 3 record limit"):
+        observation_time_scan(1.0, 0.5, 10.0, 1.0, [20.0, 30.0, 40.0, 50.0])
 
 
 def test_observation_scan_columns():

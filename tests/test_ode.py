@@ -137,12 +137,18 @@ def test_step_overflow_guard():
 
 
 def test_recording_cap_is_checked_before_stepping(monkeypatch):
-    # The bound alone decides: 100 steps make 100 records at record_every 1, 10 at 10.
-    monkeypatch.setattr("kickedqubit.ode.MAX_RECORDS", 10)
+    # The bound is on the rows evolve allocates: t0, every record_every-th step
+    # and each cut. 100 steps take 102 rows at record_every 1 and 12 at 10.
+    monkeypatch.setattr("kickedqubit.ode.MAX_RECORDS", 12)
     s = Schedule(1.0, (), 0.0, 1.0)
-    with pytest.raises(ValueError, match="record limit"):
+    with pytest.raises(ValueError, match="102 recorded states"):
         evolve(s, IntegratorConfig(0.01, Representation.INTERACTION))
     assert len(evolve(s, IntegratorConfig(0.01, Representation.INTERACTION, 10)).times) == 11
+    # Cuts count too: 98 zero-area kicks cut the window into 99 pieces, so 100 rows
+    # however few steps are recorded.
+    kicked = Schedule(1.0, tuple(DeltaKick(0.0, (i + 1) / 99) for i in range(98)), 0.0, 1.0)
+    with pytest.raises(ValueError, match="100 recorded states"):
+        evolve(kicked, IntegratorConfig(0.01, Representation.INTERACTION, 10**6))
 
 
 def traced_evolve(s, cfg):

@@ -9,7 +9,6 @@ from kickedqubit.ode import IntegratorConfig, evolve
 from kickedqubit.perturbation import (
     TOL_QUAD2,
     dyson_second_order,
-    phase_orthogonality_check,
     theta_split_weights,
 )
 from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
@@ -181,26 +180,30 @@ def test_correction_bilinear_in_strengths():
 
 
 def test_phase_orthogonality_x_couplings():
+    # For couplings along x only, the commutator of rotated couplings is
+    # proportional to sigma_z with an imaginary coefficient, so the correction
+    # is diagonal with purely imaginary entries.
     for s in (TWO_KICKS, GAUSSIAN):
-        max_offdiag, max_real_diag = phase_orthogonality_check(s)
-        assert max_offdiag <= 1e-12
-        assert max_real_diag <= 1e-12
+        c = dyson_second_order(s).commutator_correction
+        assert max(abs(c[0, 1]), abs(c[1, 0])) <= 1e-12
+        assert max(abs(c[0, 0].real), abs(c[1, 1].real)) <= 1e-12
 
 
 def test_phase_orthogonality_degenerate():
     s = Schedule(0.0, (DeltaKick(0.4, 1.0), DeltaKick(0.6, 2.0)), 0.0, 3.0)
-    assert phase_orthogonality_check(s) == (0.0, 0.0)
+    c = dyson_second_order(s).commutator_correction
+    assert (max(abs(c[0, 1]), abs(c[1, 0])), max(abs(c[0, 0].real), abs(c[1, 1].real))) == (0.0, 0.0)
 
 
 def test_phase_orthogonality_mixed_axes_reports_values():
-    # The probe is only asserted for pure-x schedules; for mixed couplings it
-    # reports whatever is there (for a single two-level system the cross
-    # product of two in-plane axes still points along z, so the values can
-    # legitimately come back zero).
+    # Only asserted for pure-x schedules; for mixed couplings the components
+    # are only finite (for a single two-level system the cross product of two
+    # in-plane axes still points along z, so they can legitimately be zero).
     s = Schedule(
         1.1, (DeltaKick(0.4, 1.0, PauliAxis.X), DeltaKick(0.6, 2.0, PauliAxis.Y)), 0.0, 3.0
     )
-    max_offdiag, max_real_diag = phase_orthogonality_check(s)
+    c = dyson_second_order(s).commutator_correction
+    max_offdiag, max_real_diag = max(abs(c[0, 1]), abs(c[1, 0])), max(abs(c[0, 0].real), abs(c[1, 1].real))
     assert math.isfinite(max_offdiag) and max_offdiag >= 0.0
     assert math.isfinite(max_real_diag) and max_real_diag >= 0.0
 

@@ -162,15 +162,28 @@ def test_interaction_offdiagonal_magnitude_invariant():
 
 
 def test_rotated_coupling_against_conjugation_oracle():
-    # At dE * t = pi the x coupling flips sign; verify entrywise against the
-    # explicit series conjugation for several angles and both axes.
-    for delta_e, t in [(1.0, math.pi), (2.0, 0.35), (0.7, 3.1)]:
-        for axis in (PauliAxis.X, PauliAxis.Y):
+    # The one rule every coupling matrix comes from, checked entrywise against
+    # the explicit series conjugation: every axis, several angles, the
+    # unrotated rate 0, scalar and array times, real and complex amplitudes.
+    times = np.array([math.pi, 0.35, 3.1, -2.0])
+    amps = np.array([0.3, -1.2, 2.0, 0.5])
+    for delta_e in (1.0, 2.0, 0.7, 0.0):
+        for axis in PauliAxis:
+            oracle = np.array([conjugated_coupling(delta_e, t, axis) for t in times])
+            np.testing.assert_allclose(rotated_axis_matrix(delta_e, times, axis), oracle, atol=1e-12)
+            for t, r in zip(times, oracle):
+                np.testing.assert_allclose(rotated_axis_matrix(delta_e, t, axis), r, atol=1e-12)
+            scaled = rotated_axis_matrix(delta_e, times, axis, amps)
+            np.testing.assert_allclose(scaled, amps[:, None, None] * oracle, atol=1e-12)
             np.testing.assert_allclose(
-                rotated_axis_matrix(delta_e, t, axis),
-                conjugated_coupling(delta_e, t, axis),
-                atol=1e-12,
+                rotated_axis_matrix(delta_e, times[0], axis, amps), amps[:, None, None] * oracle[0], atol=1e-12
             )
+            if axis is not PauliAxis.Z:
+                z = 0.6 - 0.8j  # scales the (1, 2) entry, its conjugate the (2, 1) entry
+                m = rotated_axis_matrix(delta_e, times, axis, z)
+                np.testing.assert_allclose(m[:, 0, 1], z * oracle[:, 0, 1], atol=1e-12)
+                np.testing.assert_allclose(m[:, 1, 0], np.conj(z) * oracle[:, 1, 0], atol=1e-12)
+                np.testing.assert_array_equal(m, np.conj(np.swapaxes(m, -1, -2)))
     np.testing.assert_allclose(
         rotated_axis_matrix(1.0, math.pi, PauliAxis.X), -SIGMA_X, atol=1e-12
     )
