@@ -43,7 +43,6 @@ from .pulses import (
     integrated_strength,
     interaction_potential,
     schrodinger_hamiltonian,
-    time_average,
     value_at,
 )
 from .su2 import (

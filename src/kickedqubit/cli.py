@@ -1,6 +1,6 @@
 """Command-line front end: config parsing, unit conversion, CSV/JSON output.
 
-Subcommands
+Commands
     evolve         RK4 trajectory (t, p1, p2) for a configured schedule
     sweep-surface  ordering-difference surface on an (eps, phi) grid
     compare-nto    ordered vs NTO transfer probability for one schedule
@@ -10,15 +10,16 @@ Subcommands
     obs-time       observation-time scan for one Gaussian pulse
 
 Options may come from a config file of ``key = value`` lines with one
-``[section]`` per subcommand; command-line flags override file values.
+``[section]`` per command, keyed by the exact flag names (no prefix is taken);
+flags override file values. ``kickedqubit --help`` lists each command's flags.
 Pulses are written ``kind:...`` separated by semicolons, e.g.
 ``kick:0.3:1.0:x; gaussian:1.5707963267948966:150:9.46:x`` where the fields
 are kick:ALPHA:T[:AXIS], gaussian:ALPHA:CENTER:TAU[:AXIS], and
 rect:ALPHA:START:TAU[:AXIS].
 
-Exit codes: 0 success, 2 configuration error, 3 precondition violation,
-4 I/O failure, 5 internal numeric failure. Runs are deterministic: the same
-configuration produces byte-identical output.
+Exit codes: 0 success, 2 configuration error, 3 precondition violation (a
+surface grid above the record limit, say), 4 I/O failure, 5 numeric failure.
+Runs are deterministic: the same configuration produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -350,29 +351,36 @@ COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kickedqubit", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, echoed, other) in COMMANDS.items():
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--output", "-o", default="-", help="output path ('-' for stdout)")
-        for flag in echoed + other:
-            p.add_argument(f"--{flag}", default=None)
+    lines = [f"  {name}: " + " ".join(f"--{f}" for f in echoed + other) for name, (_, echoed, other) in COMMANDS.items()]
+    parser = argparse.ArgumentParser(
+        prog="kickedqubit", usage="%(prog)s COMMAND [--config FILE] [-o OUTPUT] [--FLAG VALUE ...]", description=__doc__,
+        epilog="\n".join(["flags by command:", *lines]), formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False, argument_default=argparse.SUPPRESS)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", help="key = value config file")
+    parser.add_argument("--output", "-o", default="-", help="output path ('-' for stdout)")
+    for flag in dict.fromkeys(f for _, echoed, other in COMMANDS.values() for f in echoed + other):
+        parser.add_argument(f"--{flag}", dest=flag)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, echoed, other = COMMANDS[args.command]
+    parser = build_parser()
+    given = vars(parser.parse_args(argv))
+    command, config = given["command"], given.get("config")
+    handler, echoed, other = COMMANDS[command]
+    # One list per command, echoed + other, decides both its flags and its config keys.
+    foreign = [f"--{k}" for k in given if k not in echoed + other + ["command", "config", "output"]]
+    if foreign:
+        parser.error(f"{command} takes no {', '.join(foreign)}")
     try:
         # One options dict keyed by flag name: the flags given override the
         # command's [section] of --config, whose other keys are errors.
-        section = parse_config_file(args.config).get(args.command, {}) if args.config else {}
+        section = parse_config_file(config).get(command, {}) if config else {}
         unknown = [k for k in section if k not in echoed + other]
         if unknown:
-            raise ConfigError(f"[{args.command}] in {args.config} has keys that are not its flags: {', '.join(unknown)}")
-        # argparse stores --record-every as record_every; no flag name has its own '_'.
-        opts = section | {k.replace("_", "-"): v for k, v in vars(args).items() if v is not None}
+            raise ConfigError(f"[{command}] in {config} has keys that are not its flags: {', '.join(unknown)}")
+        opts = section | given
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             handler(opts)

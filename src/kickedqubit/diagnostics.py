@@ -69,6 +69,8 @@ def ordering_difference_surface(eps_grid, phi_grid) -> list[SurfacePoint]:
     The output ordering (eps outer, phi inner) is fixed so serialized
     surfaces are stable byte-for-byte.
     """
+    if len(eps_grid) * len(phi_grid) > MAX_RECORDS:
+        raise ValueError(f"{len(eps_grid)} x {len(phi_grid)} surface points exceed the {MAX_RECORDS} record limit")
     points = []
     for eps in eps_grid:
         eps = float(eps)

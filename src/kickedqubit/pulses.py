@@ -300,12 +300,3 @@ def coupling_integral(s: Schedule, lo: float, hi, rep: Representation) -> np.nda
     terms = (pulse_coupling_integral(p, s.delta_e, lo, hi, rep) for p in s.pulses)
     return sum(terms, np.zeros(np.shape(hi) + (2, 2), dtype=complex))
 
-
-def time_average(s: Schedule, rep: Representation) -> np.ndarray:
-    """Mean coupling over the schedule window, in the requested picture.
-
-    In the Schrodinger picture this averages only the driving term
-    ``V(t) sigma_axis``; the constant ``-(delta_e/2) sigma_z`` part of the
-    Hamiltonian is added by the caller where needed.
-    """
-    return coupling_integral(s, s.t0, s.tf, rep) / s.duration()

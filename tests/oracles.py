@@ -3,7 +3,8 @@
 ``recursive_simpson`` is adaptive Simpson as the library had it before its
 quadrature went level by level: one scalar-argument integrand call per node,
 refined depth first. ``coupling_sum`` is the pointwise coupling written out as
-a sum over pulses of ``value_at`` times the (rotated) axis matrix.
+a sum over pulses of ``value_at`` times the axis matrix, rotated by explicit
+conjugation.
 ``piecewise_constant_product`` is the exact propagator of a schedule of kicks
 and Rectangular pulses, and ``truncated_nto_reference`` the NTO transfer
 probability of a schedule cut short at each observation time.
@@ -14,7 +15,7 @@ import warnings
 import numpy as np
 
 from kickedqubit.propagators import change_representation, kick_generators, nto_propagator
-from kickedqubit.pulses import Rectangular, Representation, Schedule, rotated_axis_matrix, value_at
+from kickedqubit.pulses import Rectangular, Representation, Schedule, value_at
 from kickedqubit.su2 import SIGMA_Z, exp_minus_i_generator, pauli
 
 
@@ -51,11 +52,17 @@ def _refine(f, a, b, fa, fm, fb, whole, tol, depth):
 
 
 def coupling_sum(delta_e, pulses, t, rep):
-    """sum_p V_p(t) sigma_axis at one time, each axis rotated to t in the interaction picture; kicks raise."""
+    """sum_p V_p(t) sigma_axis at one time, each axis rotated to t in the interaction picture; kicks raise.
+
+    The rotation is written out as D sigma D^dagger with D = exp(i H0 t) =
+    diag(exp(-i dE t / 2), exp(+i dE t / 2)), H0 = -(dE/2) sigma_z, so it
+    shares no code with the library's rotation.
+    """
+    rate = delta_e if rep is Representation.INTERACTION else 0.0
+    d = np.diag([np.exp(-0.5j * rate * t), np.exp(0.5j * rate * t)])
     v = np.zeros((2, 2), dtype=complex)
     for p in pulses:
-        axis = rotated_axis_matrix(delta_e, t, p.axis) if rep is Representation.INTERACTION else pauli(p.axis)
-        v = v + value_at(p, t) * axis
+        v = v + value_at(p, t) * (d @ pauli(p.axis) @ d.conj().T)
     return v
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from kickedqubit.cli import main, parse_config_file, parse_pulses
+from kickedqubit.cli import COMMANDS, main, parse_config_file, parse_pulses
 from kickedqubit.perturbation import TOL_QUAD2
 from kickedqubit.pulses import DeltaKick, Gaussian
 from kickedqubit.su2 import PauliAxis
@@ -279,6 +279,39 @@ def test_unknown_command_exits_2():
     assert info.value.code == 2
 
 
+def test_help_lists_each_commands_flags_on_its_line(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    lines = {line.split(":")[0].strip(): line.split()[1:] for line in out.splitlines() if ": --" in line}
+    for name, (_, echoed, other) in COMMANDS.items():
+        assert lines[name] == [f"--{flag}" for flag in echoed + other]
+
+
+def test_prefix_of_a_flag_exits_2(capsys):
+    # --tau is a prefix of kick-limit's --taus, and a flag of other commands.
+    with pytest.raises(SystemExit) as info:
+        main(["kick-limit", "--preset", "2s2p", "--tau", "100"])
+    assert info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_flag_of_another_command_is_named(capsys):
+    with pytest.raises(SystemExit):
+        main(["map-classify", "--split-phase", "1", "--strength-phase", "1", "--dt", "0.1"])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "map-classify takes no --dt" in captured.err
+
+
+def test_flag_before_the_command_gives_the_same_output(capsys):
+    assert main(["map-classify", "--split-phase", "0.01", "--strength-phase", "100"]) == 0
+    after = capsys.readouterr().out
+    assert main(["--split-phase", "0.01", "map-classify", "--strength-phase", "100"]) == 0
+    assert capsys.readouterr().out == after != ""
+
+
 HEADER_CASES = {
     "evolve": (
         ["evolve", "--preset", "2s2p", "--tf", "10", "--tau", "3", "--alpha", "0.2", "--dt", "0.5",
@@ -427,6 +460,14 @@ def test_obs_time_tf_count_above_the_record_limit_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tf-count" in captured.err
+
+
+def test_sweep_surface_above_the_record_limit_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("kickedqubit.diagnostics.MAX_RECORDS", 5)
+    assert run(["sweep-surface", "--eps-grid", "0.1 0.2", "--phi-grid", "1 2 3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2 x 3 surface points exceed the 5 record limit" in captured.err
 
 
 def test_obs_time_tf_count_two_gives_one_row(tmp_path):

@@ -112,6 +112,14 @@ def test_surface_row_major_order():
     ]
 
 
+def test_surface_grid_above_the_record_limit_is_refused_before_any_point(monkeypatch):
+    monkeypatch.setattr(diagnostics, "MAX_RECORDS", 6)
+    assert len(ordering_difference_surface([0.1, 0.2], [0.0, 1.0, 2.0])) == 6
+    monkeypatch.setattr(diagnostics, "SurfacePoint", None)
+    with pytest.raises(ValueError, match="3 x 3 surface points exceed the 6 record limit"):
+        ordering_difference_surface([0.1, 0.2, 0.3], [0.0, 1.0, 2.0])
+
+
 def test_classify_regime_table():
     assert classify_regime(0.01, 0.01) is MapRegime.KICKED_PERTURBATIVE
     assert classify_regime(100.0, 100.0) is MapRegime.ADIABATIC

@@ -22,7 +22,6 @@ from kickedqubit.pulses import (
     pulse_support,
     rotated_axis_matrix,
     schrodinger_hamiltonian,
-    time_average,
     value_at,
 )
 from kickedqubit.su2 import SIGMA_X, SIGMA_Z, PauliAxis, dagger, exp_minus_i_generator
@@ -219,7 +218,7 @@ def test_time_average_single_kick_reproduces_kick_propagator():
     # single-kick propagator exactly.
     delta_e, alpha, t_k = 1.3, 0.6, 2.0
     s = Schedule(delta_e, (DeltaKick(alpha, t_k),), 0.0, 5.0)
-    vbar = time_average(s, Representation.INTERACTION)
+    vbar = coupling_integral(s, s.t0, s.tf, Representation.INTERACTION) / s.duration()
     np.testing.assert_allclose(
         vbar, alpha / 5.0 * rotated_axis_matrix(delta_e, t_k, PauliAxis.X), atol=1e-14
     )
@@ -232,7 +231,7 @@ def test_time_average_opposite_pair_generator():
     # times a unit-norm matrix in the sigma_x-sigma_y plane.
     delta_e, alpha, t1, t2, tf = 0.9, 0.4, 1.0, 3.0, 4.0
     s = Schedule(delta_e, (DeltaKick(alpha, t1), DeltaKick(-alpha, t2)), 0.0, tf)
-    vbar = time_average(s, Representation.INTERACTION)
+    vbar = coupling_integral(s, s.t0, s.tf, Representation.INTERACTION) / s.duration()
     scale = 2.0 * alpha / tf * math.sin(0.5 * delta_e * (t2 - t1))
     direction = vbar / scale
     assert abs(direction[0, 0]) < 1e-14
@@ -243,7 +242,7 @@ def test_time_average_opposite_pair_generator():
 def test_time_average_zero_without_pulses():
     s = Schedule(1.0, (), 0.0, 2.0)
     for rep in Representation:
-        np.testing.assert_array_equal(time_average(s, rep), np.zeros((2, 2)))
+        np.testing.assert_array_equal(coupling_integral(s, s.t0, s.tf, rep) / s.duration(), np.zeros((2, 2)))
 
 
 def test_time_average_hermitian_both_pictures():
@@ -253,15 +252,15 @@ def test_time_average_hermitian_both_pictures():
             1.7, (Gaussian(0.7, 1.0, 0.4), Rectangular(0.3, 2.0, 1.0, PauliAxis.Y)), 0.0, 4.0
         )
     for rep in Representation:
-        v = time_average(s, rep)
+        v = coupling_integral(s, s.t0, s.tf, rep) / s.duration()
         np.testing.assert_allclose(v, dagger(v), atol=1e-12)
 
 
 def test_time_average_pictures_coincide_when_degenerate():
     s = Schedule(0.0, (Gaussian(0.7, 2.0, 0.3),), 0.0, 4.0)
     np.testing.assert_allclose(
-        time_average(s, Representation.INTERACTION),
-        time_average(s, Representation.SCHRODINGER),
+        coupling_integral(s, s.t0, s.tf, Representation.INTERACTION) / s.duration(),
+        coupling_integral(s, s.t0, s.tf, Representation.SCHRODINGER) / s.duration(),
         atol=1e-12,
     )
 
