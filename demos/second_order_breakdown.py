@@ -29,7 +29,7 @@ def show(label, s):
 # Two kicks: everything is an exact finite sum.
 show("two kicks, dE = 0.9", Schedule(0.9, (DeltaKick(0.3, 1.0), DeltaKick(0.7, 2.2)), 0.0, 3.0))
 
-# A smooth pulse: adaptive Simpson over t1, the inner integral in closed form.
+# A smooth pulse: adaptive Gauss-Legendre panels over t1, the inner integral in closed form.
 show("one Gaussian, dE = 0.8", Schedule(0.8, (Gaussian(0.9, 2.0, 0.3),), 0.0, 4.0))
 
 # Degenerate levels: the rotating-frame coupling commutes with itself at all

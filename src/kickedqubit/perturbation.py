@@ -10,9 +10,9 @@ that the ordered double integral equals the unordered square -(1/2) I1^2
 plus the ordered commutator integral: the commutator half carries every
 effect of time ordering at this order. This module computes all the pieces
 in one sweep over time, in which delta kicks are events at edges and smooth
-pulses are integrated between them: the shared adaptive Simpson over t1
-samples V and the inner integral, in closed form, at every node of a level
-in one call. The identity can thus be checked rather than assumed.
+pulses are integrated between them: the shared adaptive Gauss-Legendre
+quadrature over t1 samples V and the inner integral, in closed form, at every
+node of a round in one call. The identity can thus be checked rather than assumed.
 
 Equivalently, the step function ordering weight decomposes as
 Theta(t1 - t2) = 1/2 + sgn(t1 - t2)/2; the constant half reproduces the
@@ -28,7 +28,7 @@ import numpy as np
 
 from .propagators import kick_generators
 from .pulses import Representation, Schedule, coupling_samples, pulse_coupling_integral, pulse_support
-from .quadrature import adaptive_simpson
+from .quadrature import adaptive_gauss_legendre
 from .su2 import ID2
 
 # Identity tolerance of the gap quadrature; kick events alone are exact to rounding.
@@ -81,9 +81,9 @@ def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
     integral of V from t0. The kicks at an edge, g from :func:`kick_generators`, add
     g (K + g/2) to the ordered integral, the Theta(0) = 1/2 rule for
     equal-time pairs, and [g, K] to the commutator one. Each gap between
-    edges adds an adaptive Simpson over t1 of (V K, V K - K V), where V sums
-    the smooth pulses active on the gap and K(t1) adds their closed-form
-    integrals from the gap's start, both taken at all the nodes of a level at once.
+    edges adds an adaptive Gauss-Legendre quadrature over t1 of (V K, V K - K V),
+    analytic on the gap, where V sums the smooth pulses active there and K(t1)
+    adds their closed-form integrals from the gap's start, at every node of a round at once.
     """
     kicks = kick_generators(s.delta_e, s.kicks())
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
@@ -100,7 +100,7 @@ def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
                 vk = v @ kt
                 return np.stack((vk, vk - kt @ v), axis=1)
 
-            total = total + adaptive_simpson(integrand, a, b, _OUTER_TOL, 40)
+            total = total + adaptive_gauss_legendre(integrand, a, b, _OUTER_TOL, 40)
             k = k + sum(pulse_coupling_integral(p, s.delta_e, a, b, Representation.INTERACTION) for p in active)
         if b in kicks:
             g = kicks[b]

@@ -1,50 +1,50 @@
-"""Adaptive Simpson quadrature for scalar- or matrix-valued integrands.
-
-Interval-bisecting Simpson with Richardson correction, one level at a time:
-the integrand takes an array of times, and all open intervals of a level are
-sampled in one call. The error metric is the maximum absolute entry, so a
-single routine serves both scalar integrals and entrywise integrals of 2x2
-complex matrices.
-"""
+"""Adaptive 24-point Gauss-Legendre quadrature: each round samples all open panels in one integrand call."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-DEFAULT_TOL = 1e-10
-MAX_DEPTH = 48
-# Open intervals one level may hold: ~2.5 kB each with the Dyson gap integrand's workspace, ~160 MB in all.
-MAX_INTERVALS = 2**16
+MAX_NODES = 2**17  # nodes in one integrand call: ~1.2 kB each in the Dyson gap integrand, ~160 MB in all
+
+# Ascending nodes on [-1, 1], symmetric: Newton on P_24's recurrence in floats, so no numpy code is paged in at import.
+NODES, WEIGHTS = np.zeros(24), np.zeros(24)
+for _i in range(12):
+    _x = -math.cos(math.pi * (_i + 0.75) / 24.5)
+    for _ in range(5):  # quadratic convergence: exact to rounding after four steps
+        _p0, _p1 = 1.0, _x
+        for _k in range(2, 25):
+            _p0, _p1 = _p1, ((2 * _k - 1) * _x * _p1 - (_k - 1) * _p0) / _k
+        _dp = 24 * (_x * _p1 - _p0) / (_x * _x - 1.0)
+        _x -= _p1 / _dp
+    NODES[_i], NODES[23 - _i] = _x, -_x
+    WEIGHTS[_i] = WEIGHTS[23 - _i] = 2.0 / ((1.0 - _x * _x) * _dp * _dp)
 
 
-def adaptive_simpson(f, a: float, b: float, tol: float = DEFAULT_TOL, max_depth: int = MAX_DEPTH):
-    """Integrate ``f`` over [a, b] to absolute tolerance ``tol`` per entry.
+def adaptive_gauss_legendre(f, a: float, b: float, tol: float, max_depth: int = 48):
+    """Integrate ``f`` (times -> values stacked on axis 0) over [a, b] to absolute tolerance ``tol`` per entry.
 
-    ``f`` maps an array of times to their values (floats, complex numbers or
-    ndarrays) stacked along the first axis; the result is a complex array shaped
-    like one value. Widths are signed, so reversed bounds negate the result and
-    equal bounds give zero. Each level halves the tolerance. FloatingPointError
-    when a level would hold more than :data:`MAX_INTERVALS` intervals.
+    Widths are signed. The first call samples [a, b] and its halves; a panel is accepted as left + right
+    when within ``tol`` (max entry) of its whole, else split, and ``tol`` halves each round. At ``max_depth``
+    every open panel is accepted; FloatingPointError when a call would take more than :data:`MAX_NODES` nodes.
     """
-    lo, hi = np.array([a]), np.array([b])
-    fa, fm, fb = np.asarray(f(np.array([a, 0.5 * (a + b), b])), dtype=complex)[:, None]
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    result = np.zeros(whole.shape[1:], dtype=complex)
+    lo, hi, whole, result = np.array([a, a, 0.5 * (a + b)]), np.array([b, 0.5 * (a + b), b]), None, 0.0
     while lo.size:
-        if lo.size > MAX_INTERVALS:
-            raise FloatingPointError(f"adaptive Simpson needs {lo.size} intervals in one level, above {MAX_INTERVALS}")
-        m = 0.5 * (lo + hi)
-        flm, frm = np.split(np.asarray(f(np.concatenate((0.5 * (lo + m), 0.5 * (m + hi)))), dtype=complex), 2)
-        width = ((m - lo) / 6.0).reshape((-1,) + (1,) * (whole.ndim - 1))
-        left = width * (fa + 4.0 * flm + fm)
-        right = width * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        done = (np.max(np.abs(delta).reshape(lo.size, -1), axis=1) <= 15.0 * tol) | (max_depth <= 0)
-        # Richardson correction: Simpson error on the halved grid is delta/15.
-        result += np.sum((left + right + delta / 15.0)[done], axis=0)
-        go = ~done
-        lo, hi = np.concatenate((lo[go], m[go])), np.concatenate((m[go], hi[go]))
-        fa, fm, fb = (np.concatenate((x[go], y[go])) for x, y in ((fa, fm), (flm, frm), (fm, fb)))
-        whole = np.concatenate((left[go], right[go]))
-        tol, max_depth = 0.5 * tol, max_depth - 1
-    return result
+        if lo.size * NODES.size > MAX_NODES:
+            raise FloatingPointError(f"{lo.size * NODES.size} Gauss-Legendre nodes in one call, above {MAX_NODES}")
+        half = 0.5 * (hi - lo)
+        values = np.asarray(f(((lo + half)[:, None] + np.outer(half, NODES)).ravel()), dtype=complex)
+        panels = half[:, None] * np.sum(values.reshape(lo.size, NODES.size, -1) * WEIGHTS[:, None], axis=1)
+        if whole is None:
+            whole, panels, lo, hi = panels[:1], panels[1:], lo[1:], hi[1:]
+        halves = panels[: len(whole)] + panels[len(whole):]  # left halves of the open panels, then right halves
+        done = (np.max(np.abs(halves - whole), axis=1) <= tol) | (max_depth <= 0)
+        result = result + np.sum(halves[done], axis=0)
+        go = np.concatenate((~done, ~done))
+        whole, lo, hi, m = panels[go], lo[go], hi[go], 0.5 * (lo[go] + hi[go])
+        lo, hi, tol, max_depth = np.concatenate((lo, m)), np.concatenate((m, hi)), 0.5 * tol, max_depth - 1
+    return result.reshape(values.shape[1:])
+
+
+adaptive_simpson = adaptive_gauss_legendre  # the name perfbench/tracing.LAYERS wraps, until ROADMAP item 1

@@ -2,7 +2,8 @@
 
 ``recursive_simpson`` is adaptive Simpson as the library had it before its
 quadrature went level by level: one scalar-argument integrand call per node,
-refined depth first. ``coupling_sum`` is the pointwise coupling written out as
+refined depth first; ``recursive_gauss_legendre`` is the library's panel rule
+refined the same way. ``coupling_sum`` is the pointwise coupling written out as
 a sum over pulses of ``value_at`` times the axis matrix, rotated by explicit
 conjugation.
 ``piecewise_constant_product`` is the exact propagator of a schedule of kicks
@@ -92,3 +93,24 @@ def truncated_nto_reference(s, rep, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # truncation clips pulse support by design
         return [float(abs(nto_propagator(Schedule(s.delta_e, s.pulses, s.t0, tf), rep)[1, 0]) ** 2) for tf in grid]
+
+
+def recursive_gauss_legendre(f, a, b, tol, max_depth, x, w):
+    """Adaptive Gauss-Legendre panels with the rule (x, w) on [-1, 1], refined depth first, one node per call of ``f``.
+
+    A panel is accepted as left + right when that is within ``tol`` (max entry)
+    of its whole; each level halves ``tol``, and at ``max_depth`` every panel is accepted.
+    """
+
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)
+        return half * sum(wj * np.asarray(f(lo + half + half * xj), dtype=complex) for xj, wj in zip(x, w))
+
+    def refine(lo, hi, whole, tol, depth):
+        m = 0.5 * (lo + hi)
+        left, right = rule(lo, m), rule(m, hi)
+        if depth <= 0 or np.max(np.abs(left + right - whole)) <= tol:
+            return left + right
+        return refine(lo, m, left, 0.5 * tol, depth - 1) + refine(m, hi, right, 0.5 * tol, depth - 1)
+
+    return refine(float(a), float(b), rule(float(a), float(b)), tol, max_depth)

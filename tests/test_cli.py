@@ -546,9 +546,9 @@ def test_non_finite_input_exits_3_without_output(capsys, argv):
         # The default step still leaves U 3.5e-6 from unitary under this pulse.
         (["obs-time", "--delta-e", "1", "--alpha", "2000", "--tau", "0.5", "--t-k", "5", "--tf-count", "4"],
          "unitarity defect"),
-        # No Simpson level meets the gap tolerance at this strength: refused at the interval bound.
+        # Rounding in the gap integrand exceeds the gap tolerance at this strength: refused at the node bound.
         (["pert2", "--delta-e", "1", "--tf", "400", "--pulses", "gaussian:100000:200:30; rect:100000:50:200"],
-         "intervals in one level"),
+         "nodes in one call"),
     ],
     ids=["obs-time-collapsed", "pert2-interval-bound"],
 )
@@ -570,7 +570,7 @@ def test_obs_time_answers_a_strong_pulse(tmp_path):
 
 
 def test_pert2_strong_smooth_schedule_still_answers(capsys):
-    # The same schedule at alpha = 1000 needs 32768 intervals in its widest level, inside the bound.
+    # The same schedule at alpha = 1000 needs 384 nodes in its widest integrand call, inside the bound.
     argv = ["pert2", "--delta-e", "1", "--tf", "400", "--pulses", "gaussian:1000:200:30; rect:1000:50:200"]
     assert run(argv) == 0
     out = json.loads(capsys.readouterr().out)

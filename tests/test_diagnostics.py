@@ -297,23 +297,23 @@ def test_obs_time_and_kick_limit_run_no_quadrature(monkeypatch):
     # obs-time grid, where the window cuts the Gaussian (at tau = 200 also at
     # t0 = 0), and on the default kick-limit ladder. Beyond the support the
     # interaction-picture NTO gives the same value at every observation time.
-    from kickedqubit.quadrature import adaptive_simpson
+    from kickedqubit.quadrature import adaptive_gauss_legendre
 
     calls = []
 
     def counting(f, a, b, *rest):
         calls.append((a, b))
-        return adaptive_simpson(f, a, b, *rest)
+        return adaptive_gauss_legendre(f, a, b, *rest)
 
     bound = [
         name
         for name, module in sorted(sys.modules.items())
         if name.startswith("kickedqubit")
-        and getattr(module, "adaptive_simpson", None) is adaptive_simpson
+        and getattr(module, "adaptive_gauss_legendre", None) is adaptive_gauss_legendre
     ]
     assert "kickedqubit.quadrature" in bound
     for name in bound:
-        monkeypatch.setattr(sys.modules[name], "adaptive_simpson", counting)
+        monkeypatch.setattr(sys.modules[name], "adaptive_gauss_legendre", counting)
 
     tau, t_k = 9.46, 150.0
     delta_e = preset_2s2p(tau).delta_e

@@ -1,10 +1,19 @@
+import contextlib
 import functools
+import importlib.util
+import io
+import json
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import kickedqubit.perturbation as perturbation
+from kickedqubit.cli import main
 from kickedqubit.ode import IntegratorConfig, evolve
 from kickedqubit.perturbation import (
     TOL_QUAD2,
@@ -232,3 +241,53 @@ def test_breakdown_matches_rk4_through_second_order():
         areas[0] / areas[-1]
     )
     assert slope == pytest.approx(3.0, abs=0.2)
+
+
+AREAS = st.tuples(st.floats(0.1, 2.0), st.sampled_from((-1.0, 1.0))).map(lambda v: v[0] * v[1])
+SMOOTH_PULSES = st.lists(
+    st.builds(Gaussian, AREAS, st.floats(0.0, 5.0), st.floats(0.1, 1.5), st.sampled_from(PauliAxis))
+    | st.builds(Rectangular, AREAS, st.floats(-1.0, 4.0), st.floats(0.2, 3.0), st.sampled_from(PauliAxis)),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(SMOOTH_PULSES, st.floats(0.3, 3.0), st.floats(-1.0, 2.0), st.floats(1.0, 5.0))
+def test_gauss_panels_agree_with_the_simpson_oracle(pulses, delta_e, t0, duration):
+    # The same sweep with every gap integrated by the recursive Simpson, one
+    # node per call, at a tenth of the gap tolerance: at the full 1e-9 its own
+    # error reached 3e-9 on a window that clips a Gaussian. Windows may start
+    # or end inside a support.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # clipped supports warn by design
+        s = Schedule(delta_e, tuple(pulses), t0, t0 + duration)
+    got = dyson_second_order(s)
+
+    def simpson(f, a, b, tol, max_depth):
+        return recursive_simpson(lambda t: f(np.array([t]))[0], a, b, 0.1 * tol, max_depth)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(perturbation, "adaptive_gauss_legendre", simpson)
+        want = dyson_second_order(s)
+    for name in ("second_ordered", "commutator_correction"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 2e-9
+
+
+def test_identity_residual_over_the_benchmark_pool_is_at_rounding(monkeypatch):
+    # Every smooth pert2 job of perfbench's reference pool, where an adaptive
+    # Simpson at the same gap tolerance leaves residuals up to 4.3e-10.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    residuals = []
+    for job in workloads.reference_pool():
+        if job.kind == "pert2_smooth":
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(list(job.argv)) == 0
+            residuals.append(json.loads(out.getvalue())["identity_residual"])
+    assert len(residuals) == 96
+    assert max(residuals) <= 1e-12
