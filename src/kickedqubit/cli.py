@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -196,12 +197,8 @@ def write_table(opts: dict, header: list[str], rows, comments: dict) -> None:
     """
     fmt = opts.get("format", "csv")
     if fmt == "json":
-        payload = {
-            "config": {k: str(v) for k, v in comments.items()},
-            "rows": [
-                {name: float(v) for name, v in zip(header, row)} for row in rows
-            ],
-        }
+        payload = {"config": {k: str(v) for k, v in comments.items()},
+                   "rows": [{name: float(v) for name, v in zip(header, row)} for row in rows]}
         write_json(opts["output"], payload)
         return
     if fmt != "csv":
@@ -270,7 +267,8 @@ def cmd_sweep_surface(opts: dict) -> None:
 
 def cmd_compare_nto(opts: dict) -> None:
     names = ("p2_ordered", "p2_nto_interaction", "p2_nto_schrodinger")
-    result = dict(zip(names, transfer_probabilities(build_schedule(opts))))
+    s = build_schedule(opts)
+    result = dict(zip(names, transfer_probabilities(s, s.tf)))
     result["difference_interaction"] = result["p2_ordered"] - result["p2_nto_interaction"]
     result["difference_schrodinger"] = result["p2_ordered"] - result["p2_nto_schrodinger"]
     write_json(opts["output"], result)
@@ -350,6 +348,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # one parser per process; main only reads it
 def build_parser() -> argparse.ArgumentParser:
     lines = [f"  {name}: " + " ".join(f"--{f}" for f in echoed + other) for name, (_, echoed, other) in COMMANDS.items()]
     parser = argparse.ArgumentParser(

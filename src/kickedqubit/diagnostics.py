@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ode import MAX_RECORDS, IntegratorConfig, check_unitary, default_step, evolve, propagate
-from .propagators import nto_exponential, nto_propagator
-from .pulses import DeltaKick, Gaussian, Representation, Schedule, _require_finite, pulse_coupling_integral
+from .ode import MAX_RECORDS, IntegratorConfig, check_unitary, default_step, evolve
+from .propagators import nto_exponential
+from .pulses import DeltaKick, Gaussian, Representation, Schedule, _require_finite, coupling_integral
 from .su2 import PauliAxis
 
 TWO_PI = 2.0 * math.pi
@@ -145,18 +145,35 @@ def _window(delta_e, pulses, tf) -> Schedule:
         return Schedule(delta_e, pulses, 0.0, tf)
 
 
-def transfer_probabilities(s: Schedule) -> tuple[float, float, float]:
-    """Transfer probability |U_21|^2: (ordered, NTO interaction, NTO Schrodinger)."""
-    return (
-        float(abs(propagate(s)[1, 0]) ** 2),
-        float(abs(nto_propagator(s, Representation.INTERACTION)[1, 0]) ** 2),
-        float(abs(nto_propagator(s, Representation.SCHRODINGER)[1, 0]) ** 2),
-    )
+def transfer_probabilities(s: Schedule, times: float | np.ndarray) -> tuple[float, float, float] | list[tuple]:
+    """Transfer probability |U_21|^2 over [t0, t]: (ordered, NTO interaction, NTO Schrodinger) at each time t.
+
+    ``times`` is ``s.tf``, for one triple, or a strictly ascending array in (t0, tf], for a list of triples.
+    The ordered (rotating-frame) values come from one interaction-picture ``evolve`` over [t0, tf] at
+    ``default_step``, which records U(t, t0) at every time and whose final U must pass ``check_unitary``;
+    the NTO values, per picture, from one closed-form coupling integral to every time and one ``nto_exponential``.
+    """
+    grid = np.asarray(times, dtype=float)
+    flat = np.atleast_1d(grid).tolist()
+    if not (flat and s.t0 < flat[0] and flat[-1] <= s.tf and np.all(np.diff(flat) > 0.0)):
+        raise ValueError(f"times must ascend strictly inside (t0, tf] = ({s.t0!r}, {s.tf!r}]")
+    # Zero-area kicks are exactly the identity, but evolve cuts and records U at each, on the time itself.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # s has already warned of any support outside its window
+        marked = Schedule(s.delta_e, s.pulses + tuple(DeltaKick(0.0, t) for t in flat), s.t0, s.tf)
+    run = evolve(marked, IntegratorConfig(default_step(marked), Representation.INTERACTION, 10**6))
+    check_unitary(run.propagators[-1])
+    # Rows by time: a run longer than record_every steps records more rows.
+    row = {t: i for i, t in enumerate(run.times.tolist())}
+    ordered = [run.propagators[row[t], 1, 0] for t in flat]
+    nto = (nto_exponential(coupling_integral(s, s.t0, grid, rep), s.delta_e, grid - s.t0, rep)[..., 1, 0].ravel()
+           for rep in (Representation.INTERACTION, Representation.SCHRODINGER))
+    # The scalar abs of each entry: numpy's array abs can differ from it in the last bit.
+    triples = [tuple(float(abs(z) ** 2) for z in entries) for entries in zip(ordered, *nto)]
+    return triples if grid.ndim else triples[0]
 
 
-def kick_limit_scan(
-    delta_e: float, alpha: float, t_k: float, taus: list[float]
-) -> list[KickLimitRow]:
+def kick_limit_scan(delta_e: float, alpha: float, t_k: float, taus: list[float]) -> list[KickLimitRow]:
     """Final transfer probability versus pulse width on [0, t_k + 8 tau].
 
     Each row holds the time-ordered RK4 result alongside the NTO value in
@@ -172,28 +189,21 @@ def kick_limit_scan(
     rows = []
     for tau in taus:
         s = _window(delta_e, (Gaussian(alpha, t_k, tau, PauliAxis.X),), t_k + 8.0 * tau)
-        rows.append(KickLimitRow(tau, *transfer_probabilities(s)))
+        rows.append(KickLimitRow(tau, *transfer_probabilities(s, s.tf)))
     return rows
 
 
 def observation_time_scan(
-    delta_e: float,
-    alpha: float,
-    t_k: float,
-    tau: float,
-    tf_grid: list[float] | np.ndarray,
+    delta_e: float, alpha: float, t_k: float, tau: float, tf_grid: list[float] | np.ndarray
 ) -> list[ObservationRow]:
     """Transfer probabilities versus observation time for one Gaussian pulse.
 
-    The ordered (rotating-frame) column comes from one interaction-picture
-    :func:`~kickedqubit.ode.evolve` over [0, max tf], which records
-    U(tf, 0) at every observation time; beyond the pulse support it is
-    exactly constant, and its final U must pass
-    :func:`~kickedqubit.ode.check_unitary`. Each NTO column is the
-    exponential of the pulse's mean coupling over [0, tf], from one
-    closed-form integral at every tf at once: it damps in the Schrodinger
-    picture as the average field shrinks against the splitting, but settles
-    to a constant in the interaction picture.
+    One call of :func:`transfer_probabilities` on the window [0, max tf] at
+    every observation time: one ``evolve`` for the ordered (rotating-frame)
+    column, exactly constant beyond the pulse support, and one closed-form
+    integral per picture for the NTO columns. The NTO value damps in the
+    Schrodinger picture as the average field shrinks against the splitting,
+    but settles to a constant in the interaction picture.
     """
     if len(tf_grid) > MAX_RECORDS:  # each time is a marker kick and a recorded row of one evolve
         raise ValueError(f"{len(tf_grid)} observation times exceed the {MAX_RECORDS} record limit")
@@ -209,20 +219,5 @@ def observation_time_scan(
     if not tf_grid:
         return []
 
-    pulse = Gaussian(alpha, t_k, tau, PauliAxis.X)
-    # Zero-area kicks are exactly the identity, but evolve cuts its step grid
-    # at every kick time and records U there, on the grid value itself.
-    marked = _window(delta_e, (pulse, *(DeltaKick(0.0, tf) for tf in tf_grid)), tf_grid[-1])
-    run = evolve(marked, IntegratorConfig(default_step(marked), Representation.INTERACTION, 10**6))
-    check_unitary(run.propagators[-1])
-    # Rows by time: a run longer than record_every steps records more rows.
-    ordered = dict(zip(run.times.tolist(), np.abs(run.propagators[:, 1, 0]) ** 2))
-    schrodinger, interaction = (
-        [float(abs(nto_exponential(k, delta_e, tf, rep)[1, 0]) ** 2)
-         for tf, k in zip(tf_grid, pulse_coupling_integral(pulse, delta_e, 0.0, np.array(tf_grid), rep))]
-        for rep in (Representation.SCHRODINGER, Representation.INTERACTION)
-    )
-    return [
-        ObservationRow(tf, float(ordered[tf]), p2_s, p2_i)
-        for tf, p2_s, p2_i in zip(tf_grid, schrodinger, interaction)
-    ]
+    rows = transfer_probabilities(_window(delta_e, (Gaussian(alpha, t_k, tau, PauliAxis.X),), tf_grid[-1]), tf_grid)
+    return [ObservationRow(tf, p2, p2_s, p2_i) for tf, (p2, p2_i, p2_s) in zip(tf_grid, rows)]

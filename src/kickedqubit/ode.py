@@ -30,7 +30,7 @@ import numpy as np
 from .propagators import kick_generators
 from .pulses import (Rectangular, Representation, Schedule, coupling_samples, pulse_center, pulse_support,
                      rotation_rate, value_at)
-from .su2 import SIGMA_Z, exp_minus_i_generator, unitarity_defect
+from .su2 import ID2, SIGMA_Z, exp_minus_i_generator, unitarity_defect
 from .units import rabi_period
 
 MAX_STEPS = 10**9
@@ -123,7 +123,8 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
         raise ValueError(f"{rows} recorded states exceed the {MAX_RECORDS} record limit")
 
     h0 = -0.5 * s.delta_e * SIGMA_Z if schrodinger else 0.0
-    u = exp_minus_i_generator(kicks.get(s.t0, np.zeros((2, 2))))
+    kick_exp = dict(zip(kicks, exp_minus_i_generator(np.reshape(list(kicks.values()), (-1, 2, 2)))))
+    u = kick_exp.get(s.t0, ID2)
     times, propagators = np.empty(rows), np.empty((rows, 2, 2), dtype=complex)
     times[0], propagators[0] = s.t0, u
     recorded = done = 0
@@ -144,7 +145,7 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
             propagators[slot] = np.reshape(walk[first - c0 - 1 :: every][: ks.size], (-1, 2, 2)) if stepping else u
             recorded += ks.size
         if b in kicks:
-            u = exp_minus_i_generator(kicks[b]) @ u
+            u = kick_exp[b] @ u
         recorded += 1
         times[recorded], propagators[recorded] = b, u
         done += n

@@ -60,8 +60,8 @@ def kick_sequence(delta_e: float, kicks: list[DeltaKick] | tuple[DeltaKick, ...]
         if b.t_k < a.t_k:
             raise ValueError("kicks must be sorted by time ascending")
     u = ID2.copy()
-    for g in kick_generators(delta_e, kicks).values():
-        u = exp_minus_i_generator(g) @ u
+    for e in exp_minus_i_generator(np.reshape(list(kick_generators(delta_e, kicks).values()), (-1, 2, 2))):
+        u = e @ u
     return u
 
 
@@ -113,14 +113,15 @@ def nto_propagator(s: Schedule, rep: Representation) -> np.ndarray:
     return nto_exponential(coupling_integral(s, s.t0, s.tf, rep), s.delta_e, s.duration(), rep)
 
 
-def nto_exponential(k: np.ndarray, delta_e: float, duration: float, rep: Representation) -> np.ndarray:
-    """exp(-i Gbar duration) for a window whose coupling integral is ``k``.
+def nto_exponential(k: np.ndarray, delta_e: float, duration, rep: Representation) -> np.ndarray:
+    """exp(-i Gbar duration) for a window whose coupling integral is ``k``, or for each window of a stack.
 
     ``Gbar`` = k / duration is the time-averaged coupling in the requested
     picture; in the Schrodinger picture the constant -(dE/2) sigma_z term
-    joins the exponent, so the generator is the time average of the full Hamiltonian.
+    joins the exponent, so the generator is the time average of the full Hamiltonian. ``k``
+    may be a stack (..., 2, 2) with ``duration`` an array of its shape (...).
     """
-    g = k / duration
+    g = k / np.expand_dims(duration, (-2, -1))
     if rep is Representation.SCHRODINGER:
         g = g - 0.5 * delta_e * SIGMA_Z
     return exp_minus_i_generator(g, duration)

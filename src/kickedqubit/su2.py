@@ -70,8 +70,8 @@ def exp_i_phi_sigma_u(phi: float, u) -> np.ndarray:
 
 
 def dagger(u: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return u.conj().T
+    """Conjugate transpose of a matrix or of each matrix of a stack."""
+    return np.swapaxes(u.conj(), -1, -2)
 
 
 def probabilities(state: np.ndarray) -> tuple[float, float]:
@@ -85,31 +85,35 @@ def unitarity_defect(u: np.ndarray) -> float:
     return float(np.max(np.abs(dagger(u) @ u - ID2)))
 
 
-def bloch_components(g: np.ndarray) -> tuple[float, float, float]:
-    """Decompose a traceless Hermitian matrix as gx*sx + gy*sy + gz*sz.
+def bloch_components(g: np.ndarray):
+    """Decompose a traceless Hermitian matrix, or each of a stack (..., 2, 2), as gx*sx + gy*sy + gz*sz.
 
     The anti-Hermitian and trace parts (rounding noise of a time average) are
-    discarded by symmetrizing first.
+    discarded by symmetrizing first. Each component has the stack's shape.
     """
     h = 0.5 * (g + dagger(g))
-    gx = h[1, 0].real
-    gy = h[1, 0].imag
-    gz = 0.5 * (h[0, 0].real - h[1, 1].real)
+    gx = h[..., 1, 0].real
+    gy = h[..., 1, 0].imag
+    gz = 0.5 * (h[..., 0, 0].real - h[..., 1, 1].real)
     return gx, gy, gz
 
 
-def exp_minus_i_generator(g: np.ndarray, duration: float = 1.0) -> np.ndarray:
-    """exp(-i * g * duration) for traceless Hermitian g, exactly in SU(2).
+def exp_minus_i_generator(g: np.ndarray, duration=1.0) -> np.ndarray:
+    """exp(-i * g * duration) for traceless Hermitian g, exactly in SU(2); g may be a stack (..., 2, 2).
 
-    Writes g = c * sigma.u and applies the half-angle-free identity with
-    phi = -c*duration; the degenerate c = 0 case returns the identity.
+    Writes g = c * sigma.u and evaluates cos(phi) I + i sin(phi) sigma.u, phi = -c*duration, entry by entry;
+    ``duration`` broadcasts against the stack, and c = 0 gives the identity. Every phi must be finite.
     """
-    gx, gy, gz = bloch_components(g)
-    big = max(abs(gx), abs(gy), abs(gz))
-    if big == 0.0:
-        return ID2.copy()
+    gx, gy, gz = bloch_components(np.asarray(g))
+    big = np.maximum(np.maximum(np.abs(gx), np.abs(gy)), np.abs(gz))
     # Scaling by a power of two is exact, so the squares neither underflow nor overflow and c keeps its bits.
-    k = math.frexp(big)[1]
-    x, y, z = math.ldexp(gx, -k), math.ldexp(gy, -k), math.ldexp(gz, -k)
-    r = math.sqrt(x * x + y * y + z * z)
-    return exp_i_phi_sigma_u(-math.ldexp(r, k) * duration, (x / r, y / r, z / r))
+    k = np.frexp(big)[1]
+    x, y, z = np.ldexp(gx, -k), np.ldexp(gy, -k), np.ldexp(gz, -k)
+    r = np.sqrt(x * x + y * y + z * z)  # at least 1/2 unless c = 0, where phi is 0 and r is taken as 1
+    phi = -np.ldexp(r, k) * duration
+    if not np.isfinite(phi).all():
+        raise ValueError("exp_minus_i_generator requires a finite generator and duration")
+    s, c, r = np.sin(phi), np.cos(phi), r + (big == 0.0)
+    sx, sy, sz = s * (x / r), s * (y / r), s * (z / r)
+    # (real, imaginary) parts of the entries 00, 01, 10, 11
+    return np.stack((c, sz, sy, sx, -sy, sx, c, -sz), axis=-1).view(complex).reshape(np.shape(phi) + (2, 2))

@@ -1,9 +1,11 @@
+import argparse
 import json
 import math
 
 import numpy as np
 import pytest
 
+import kickedqubit.cli as cli
 from kickedqubit.cli import COMMANDS, main, parse_config_file, parse_pulses
 from kickedqubit.perturbation import TOL_QUAD2
 from kickedqubit.pulses import DeltaKick, Gaussian
@@ -575,3 +577,24 @@ def test_pert2_strong_smooth_schedule_still_answers(capsys):
     assert run(argv) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["identity_residual"] <= TOL_QUAD2
+
+
+def test_two_runs_build_one_parser(monkeypatch, capsys):
+    # The parser is built once per process; a failed run leaves it fit for the next.
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    assert main(["map-classify", "--split-phase", "1", "--strength-phase", "1"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["map-classify", "--tau", "3"])
+    assert exc.value.code == 2
+    assert main(["map-classify", "--split-phase", "0.1", "--strength-phase", "0.1"]) == 0
+    assert built == ["kickedqubit"]
+    assert cli.build_parser() is cli.build_parser()
+    capsys.readouterr()

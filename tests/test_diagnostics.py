@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from oracles import truncated_nto_reference
 
+import kickedqubit.cli as cli
 import kickedqubit.diagnostics as diagnostics
 from kickedqubit.diagnostics import (
     MapRegime,
@@ -16,10 +17,12 @@ from kickedqubit.diagnostics import (
     ordering_difference_surface,
     p2_nto,
     p2_ordered,
+    transfer_probabilities,
 )
 from kickedqubit.ode import IntegratorConfig, propagate
-from kickedqubit.propagators import nto_opposite_pair, opposite_kick_pair
-from kickedqubit.pulses import Gaussian, Representation, Schedule, pulse_support
+from kickedqubit.propagators import nto_opposite_pair, nto_propagator, opposite_kick_pair
+from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule, pulse_support
+from kickedqubit.su2 import PauliAxis
 from kickedqubit.units import delta_e_from_ev, preset_2s2p, rabi_period
 
 
@@ -246,19 +249,64 @@ def test_observation_scan_ordered_column_against_truncated_propagate(tau):
         assert abs(r.p2_ordered - truncated_ordered(delta_e, math.pi / 2, t_k, tau, r.tf)) <= 1e-10
 
 
-def test_observation_scan_runs_one_trajectory(monkeypatch):
-    calls = dict.fromkeys(("evolve", "propagate"), 0)
-    for name in calls:
+def test_observation_scan_runs_one_trajectory(monkeypatch, capsys):
+    # Every route to the (ordered, NTO, NTO) triple is one call of transfer_probabilities, which runs one
+    # evolve: per observation-time scan, per compare-nto and per kick-limit rung.
+    calls = []
+    for module, name in ((diagnostics, "evolve"), (diagnostics, "transfer_probabilities"), (cli, "transfer_probabilities")):
 
-        def counting(*args, name=name, original=getattr(diagnostics, name)):
-            calls[name] += 1
+        def counting(*args, name=name, original=getattr(module, name)):
+            calls.append(name)
             return original(*args)
 
-        monkeypatch.setattr(diagnostics, name, counting)
+        monkeypatch.setattr(module, name, counting)
     t_k = 150.0
     delta_e = preset_2s2p(9.46).delta_e
     observation_time_scan(delta_e, math.pi / 2, t_k, 9.46, cli_default_grid(delta_e, t_k))
-    assert calls == {"evolve": 1, "propagate": 0}
+    assert calls == ["transfer_probabilities", "evolve"]
+    for argv, routes in ((["compare-nto", "--preset", "2s2p"], 1),
+                         (["compare-nto", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1; kick:-0.3:2"], 1),
+                         (["kick-limit", "--preset", "2s2p", "--taus", "40 20 10"], 3)):
+        calls.clear()
+        assert cli.main(argv) == 0
+        assert calls == ["transfer_probabilities", "evolve"] * routes, argv
+    capsys.readouterr()
+
+
+ROUTE_SCHEDULES = [
+    Schedule(1.2, (DeltaKick(0.3, 1.0), DeltaKick(-0.3, 2.0, PauliAxis.Y)), 0.0, 3.0),
+    Schedule(1.2, (DeltaKick(0.3, 1.0), DeltaKick(0.5, 3.0)), 0.0, 3.0),  # a kick at tf
+    preset_2s2p(9.46),
+    Schedule(0.8, (Gaussian(0.9, 2.0, 0.3), Rectangular(0.6, 4.5, 1.5, PauliAxis.Y), DeltaKick(0.2, 5.0)), 0.1, 7.0),
+]
+
+
+@pytest.mark.parametrize("s", ROUTE_SCHEDULES)
+def test_route_at_tf_is_propagate_and_nto_propagator(s):
+    # Bit for bit the former formula of compare-nto and kick-limit.
+    want = (
+        float(abs(propagate(s)[1, 0]) ** 2),
+        float(abs(nto_propagator(s, Representation.INTERACTION)[1, 0]) ** 2),
+        float(abs(nto_propagator(s, Representation.SCHRODINGER)[1, 0]) ** 2),
+    )
+    assert transfer_probabilities(s, s.tf) == want
+
+
+@pytest.mark.parametrize("s", ROUTE_SCHEDULES)
+def test_route_on_a_grid_ends_on_the_value_at_tf(s):
+    grid = np.linspace(s.t0, s.tf, 9)[1:]
+    rows = transfer_probabilities(s, grid)
+    assert len(rows) == 8
+    ordered, *nto = transfer_probabilities(s, s.tf)
+    # The times cut the RK4 step grid, which moves the ordered value within the integration error.
+    assert abs(rows[-1][0] - ordered) <= 1e-10
+    np.testing.assert_allclose(rows[-1][1:], nto, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("times", [[], [0.0, 1.0], [1.0, 3.5], [2.0, 1.0], [1.0, 1.0], [math.nan]])
+def test_route_refuses_times_outside_the_window_or_out_of_order(times):
+    with pytest.raises(ValueError, match="ascend strictly"):
+        transfer_probabilities(Schedule(1.0, (DeltaKick(0.3, 1.0),), 0.0, 3.0), times)
 
 
 def test_observation_scan_reads_rows_by_time(monkeypatch):

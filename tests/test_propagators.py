@@ -9,6 +9,7 @@ from kickedqubit.propagators import (
     change_representation,
     free_propagator,
     kick_sequence,
+    nto_exponential,
     nto_opposite_pair,
     nto_pair_matrix,
     nto_propagator,
@@ -16,7 +17,7 @@ from kickedqubit.propagators import (
     ordered_pair_matrix,
     single_kick,
 )
-from kickedqubit.pulses import DeltaKick, Gaussian, Representation, Schedule, rotated_axis_matrix
+from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule, coupling_integral, rotated_axis_matrix
 from kickedqubit.su2 import ID2, PauliAxis, dagger, exp_i_phi_sigma_u, unitarity_defect
 
 
@@ -303,3 +304,16 @@ def test_kick_generator_matches_rotated_axis():
     r = rotated_axis_matrix(delta_e, t_k, PauliAxis.Y)
     u = single_kick(delta_e, DeltaKick(0.5, t_k, PauliAxis.Y))
     np.testing.assert_allclose(u, math.cos(0.5) * ID2 - 1j * math.sin(0.5) * r, atol=1e-14)
+
+
+@pytest.mark.parametrize("rep", list(Representation), ids=lambda rep: rep.value)
+def test_stacked_nto_exponential_is_one_call_per_time(rep):
+    # Windows ending inside and beyond the supports, and on a kick: the stack gives each window bit for bit.
+    s = Schedule(1.3, (Gaussian(0.9, 2.0, 0.3), DeltaKick(0.4, 3.0, PauliAxis.Y), Rectangular(0.6, 3.5, 1.0)), 0.0, 9.0)
+    times = np.array([0.5, 2.2, 3.0, 4.0, 5.5, 9.0])
+    k = coupling_integral(s, s.t0, times, rep)
+    stacked = nto_exponential(k, s.delta_e, times - s.t0, rep)
+    assert stacked.shape == (6, 2, 2)
+    for t, kt, u in zip(times.tolist(), k, stacked):
+        assert np.array_equal(u, nto_exponential(kt, s.delta_e, t - s.t0, rep))
+    np.testing.assert_allclose(stacked[-1], nto_propagator(s, rep), rtol=0, atol=1e-15)

@@ -181,3 +181,62 @@ def test_generator_of_extreme_size_exponentiates(scale):
     # Squaring entries of this size underflows or overflows; the rotation by angle 1 must come out whole.
     g = 0.6 * SIGMA_X + 0.8 * SIGMA_Z
     np.testing.assert_allclose(exp_minus_i_generator(scale * g, 1.0 / scale), exp_minus_i_generator(g), atol=1e-15)
+
+
+def random_generators(rng, n):
+    """n traceless Hermitian matrices of sizes spread over six decades, with the zero matrix among them."""
+    c = rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (n, 1))
+    g = c[:, 0, None, None] * SIGMA_X + c[:, 1, None, None] * SIGMA_Y + c[:, 2, None, None] * SIGMA_Z
+    g[::50] = 0.0
+    return g
+
+
+def test_stacked_exponential_is_the_per_matrix_exponential():
+    # The same operations per matrix, so a stack gives each matrix bit for bit.
+    rng = np.random.default_rng(7)
+    g = random_generators(rng, 400)
+    g[1], g[2] = 1e-160 * g[3], 1e160 * g[4]
+    durations = 10.0 ** rng.uniform(-2.0, 2.0, 400)
+    durations[1], durations[2] = 1e160, 1e-160
+    stacked = exp_minus_i_generator(g, durations)
+    assert stacked.shape == (400, 2, 2)
+    for i in range(400):
+        assert np.array_equal(stacked[i], exp_minus_i_generator(g[i], float(durations[i])))
+    np.testing.assert_array_equal(stacked[0], ID2)
+    np.testing.assert_allclose(stacked[1], exp_minus_i_generator(g[3]), atol=1e-15)
+
+
+def test_stacked_exponential_broadcasts_its_duration():
+    rng = np.random.default_rng(8)
+    g = random_generators(rng, 12).reshape(3, 4, 2, 2)
+    for duration in (2.5, np.linspace(0.5, 2.0, 4), np.array([[0.5], [1.0], [2.0]])):
+        got = exp_minus_i_generator(g, duration)
+        d = np.broadcast_to(duration, (3, 4))
+        assert got.shape == (3, 4, 2, 2)
+        for i, j in np.ndindex(3, 4):
+            assert np.array_equal(got[i, j], exp_minus_i_generator(g[i, j], float(d[i, j])))
+    assert exp_minus_i_generator(np.zeros((0, 2, 2)), 1.0).shape == (0, 2, 2)
+
+
+def test_stacked_bloch_components_are_the_per_matrix_components():
+    g = random_generators(np.random.default_rng(9), 20)
+    stacked = bloch_components(g)
+    for i in range(20):
+        assert tuple(c[i] for c in stacked) == bloch_components(g[i])
+
+
+def test_stacked_exponential_against_the_validated_form():
+    # exp_i_phi_sigma_u checks its unit axis; the stacked exponential must agree with it to rounding.
+    g = random_generators(np.random.default_rng(10), 200)[1::2]
+    for gi, u in zip(g, exp_minus_i_generator(g, 0.7)):
+        c = np.array(bloch_components(gi))
+        phi = -0.7 * np.linalg.norm(c)  # up to about 3e3, so rounding grows with it
+        np.testing.assert_allclose(u, exp_i_phi_sigma_u(phi, c / np.linalg.norm(c)), rtol=0, atol=1e-15 * (1 - phi))
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_nonfinite_generator_or_duration_is_refused(bad):
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+        exp_minus_i_generator(np.array([0.3 * SIGMA_X, bad * SIGMA_Z]))
+    with pytest.raises(ValueError):
+        exp_minus_i_generator(0.3 * SIGMA_X, bad)
