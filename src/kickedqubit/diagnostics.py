@@ -22,9 +22,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .ode import MAX_RECORDS, IntegratorConfig, check_unitary, default_step, evolve
-from .propagators import nto_exponential
-from .pulses import DeltaKick, Gaussian, Representation, Schedule, _require_finite, coupling_integral
+from .ode import MAX_RECORDS, propagate
+from .propagators import nto_propagator
+from .pulses import Gaussian, Representation, Schedule, _require_finite
 from .su2 import PauliAxis
 
 TWO_PI = 2.0 * math.pi
@@ -148,29 +148,14 @@ def _window(delta_e, pulses, tf) -> Schedule:
 def transfer_probabilities(s: Schedule, times: float | np.ndarray) -> tuple[float, float, float] | list[tuple]:
     """Transfer probability |U_21|^2 over [t0, t]: (ordered, NTO interaction, NTO Schrodinger) at each time t.
 
-    ``times`` is ``s.tf``, for one triple, or a strictly ascending array in (t0, tf], for a list of triples.
-    The ordered (rotating-frame) values come from one interaction-picture ``evolve`` over [t0, tf] at
-    ``default_step``, which records U(t, t0) at every time and whose final U must pass ``check_unitary``;
-    the NTO values, per picture, from one closed-form coupling integral to every time and one ``nto_exponential``.
+    ``times`` is ``s.tf``, for one triple, or a strictly ascending array in (t0, tf], for a list of triples:
+    the (1, 0) entries of one :func:`propagate` (rotating frame) and of one :func:`nto_propagator` per picture.
     """
-    grid = np.asarray(times, dtype=float)
-    flat = np.atleast_1d(grid).tolist()
-    if not (flat and s.t0 < flat[0] and flat[-1] <= s.tf and np.all(np.diff(flat) > 0.0)):
-        raise ValueError(f"times must ascend strictly inside (t0, tf] = ({s.t0!r}, {s.tf!r}]")
-    # Zero-area kicks are exactly the identity, but evolve cuts and records U at each, on the time itself.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # s has already warned of any support outside its window
-        marked = Schedule(s.delta_e, s.pulses + tuple(DeltaKick(0.0, t) for t in flat), s.t0, s.tf)
-    run = evolve(marked, IntegratorConfig(default_step(marked), Representation.INTERACTION, 10**6))
-    check_unitary(run.propagators[-1])
-    # Rows by time: a run longer than record_every steps records more rows.
-    row = {t: i for i, t in enumerate(run.times.tolist())}
-    ordered = [run.propagators[row[t], 1, 0] for t in flat]
-    nto = (nto_exponential(coupling_integral(s, s.t0, grid, rep), s.delta_e, grid - s.t0, rep)[..., 1, 0].ravel()
-           for rep in (Representation.INTERACTION, Representation.SCHRODINGER))
+    us = (propagate(s, times), *(nto_propagator(s, rep, times) for rep in (Representation.INTERACTION,
+                                                                          Representation.SCHRODINGER)))
     # The scalar abs of each entry: numpy's array abs can differ from it in the last bit.
-    triples = [tuple(float(abs(z) ** 2) for z in entries) for entries in zip(ordered, *nto)]
-    return triples if grid.ndim else triples[0]
+    triples = [tuple(float(abs(z) ** 2) for z in entries) for entries in zip(*(u[..., 1, 0].ravel() for u in us))]
+    return triples if np.ndim(times) else triples[0]
 
 
 def kick_limit_scan(delta_e: float, alpha: float, t_k: float, taus: list[float]) -> list[KickLimitRow]:
@@ -199,11 +184,10 @@ def observation_time_scan(
     """Transfer probabilities versus observation time for one Gaussian pulse.
 
     One call of :func:`transfer_probabilities` on the window [0, max tf] at
-    every observation time: one ``evolve`` for the ordered (rotating-frame)
-    column, exactly constant beyond the pulse support, and one closed-form
-    integral per picture for the NTO columns. The NTO value damps in the
-    Schrodinger picture as the average field shrinks against the splitting,
-    but settles to a constant in the interaction picture.
+    every observation time. The ordered (rotating-frame) column is exactly
+    constant beyond the pulse support. The NTO value damps in the Schrodinger
+    picture as the average field shrinks against the splitting, but settles
+    to a constant in the interaction picture.
     """
     if len(tf_grid) > MAX_RECORDS:  # each time is a marker kick and a recorded row of one evolve
         raise ValueError(f"{len(tf_grid)} observation times exceed the {MAX_RECORDS} record limit")

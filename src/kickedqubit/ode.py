@@ -12,8 +12,7 @@ bit-reproducible; convergence is checked by step halving.
 :func:`evolve` cuts the window where V is not smooth: at the delta kicks,
 which act there as exp(-i G) with G from
 :func:`kickedqubit.propagators.kick_generators`, and at the edges of
-rectangular pulses, so no RK4 step straddles a jump. :func:`propagate` is
-its final value.
+rectangular pulses, so no RK4 step straddles a jump.
 
 :func:`evolve` builds the RK4 step matrices of :data:`CHUNK` steps at once in
 numpy; only their product onto U runs step by step, on Python complex scalars.
@@ -28,8 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .propagators import kick_generators
-from .pulses import (Rectangular, Representation, Schedule, coupling_samples, pulse_center, pulse_support,
-                     rotation_rate, value_at)
+from .pulses import (DeltaKick, Rectangular, Representation, Schedule, coupling_samples, pulse_center,
+                     pulse_support, rotation_rate, value_at)
 from .su2 import ID2, SIGMA_Z, exp_minus_i_generator, unitarity_defect
 from .units import rabi_period
 
@@ -109,16 +108,16 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
     bounds = [s.t0, *sorted(t for t in edges | kicks.keys() if s.t0 < t < s.tf), s.tf]
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
-    # (start, end, steps, the smooth pulses whose support overlaps the piece)
-    pieces = [(a, b, max(1, math.ceil((b - a) / cfg.dt)), [p for p, lo, hi in supports if lo < b and hi > a])
-              for a, b in zip(bounds, bounds[1:])]
+    # (start, end, steps, the smooth pulses whose support overlaps the piece); steps past the floats stay inf
+    pieces = [(a, b, max(1, math.ceil(q) if q < math.inf else q), [p for p, lo, hi in supports if lo < b and hi > a])
+              for a, b, q in ((a, b, (b - a) / cfg.dt) for a, b in zip(bounds, bounds[1:]))]
     n_steps = sum(n for _, _, n, _ in pieces)
     # Only pieces that step count: an interaction-picture piece no support overlaps carries U unchanged.
     rk4_steps = sum(n for _, _, n, active in pieces if schrodinger or active)
     if rk4_steps > MAX_STEPS:
         raise ValueError(f"{rk4_steps} steps exceed the {MAX_STEPS} step limit")
     every = cfg.record_every
-    rows = 1 + n_steps // every + len(pieces)  # t0, every record_every-th step, each cut
+    rows = n_steps if n_steps == math.inf else 1 + n_steps // every + len(pieces)  # t0, each every-th step, each cut
     if rows > MAX_RECORDS:
         raise ValueError(f"{rows} recorded states exceed the {MAX_RECORDS} record limit")
 
@@ -180,12 +179,20 @@ def _walk(delta_e: float, pulses: list, nodes: np.ndarray, h: float, rep: Repres
     return walk
 
 
-def propagate(s: Schedule) -> np.ndarray:
-    """Time-ordered rotating-frame propagator of ``s`` over [t0, tf]: the final value of :func:`evolve`.
+def propagate(s: Schedule, times=None) -> np.ndarray:
+    """Time-ordered rotating-frame U(t, t0) at each of :meth:`Schedule.observation_times`, in the shape of ``times``.
 
-    Any schedule, integrated in the interaction picture at :func:`default_step`, passed by :func:`check_unitary`.
+    One interaction-picture :func:`evolve` at :func:`default_step`, cut by a zero-area kick at each time; then
+    :func:`check_unitary` on its final U.
     """
-    return check_unitary(evolve(s, IntegratorConfig(default_step(s), Representation.INTERACTION, 10**6)).propagators[-1])
+    flat = s.observation_times(times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # s has already warned of any support outside its window
+        marked = Schedule(s.delta_e, s.pulses + tuple(DeltaKick(0.0, t) for t in flat), s.t0, s.tf)
+    run = evolve(marked, IntegratorConfig(default_step(marked), Representation.INTERACTION, 10**6))
+    check_unitary(run.propagators[-1])
+    row = {t: i for i, t in enumerate(run.times.tolist())}  # by time: a long run records more rows than the cuts
+    return run.propagators[[row[t] for t in flat]].reshape(np.shape(times) + (2, 2))
 
 
 def check_unitary(u: np.ndarray) -> np.ndarray:

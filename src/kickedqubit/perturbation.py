@@ -100,7 +100,7 @@ def dyson_second_order(s: Schedule) -> SecondOrderBreakdown:
                 vk = v @ kt
                 return np.stack((vk, vk - kt @ v), axis=1)
 
-            total = total + adaptive_gauss_legendre(integrand, a, b, _OUTER_TOL, 40)
+            total = total + adaptive_gauss_legendre(integrand, a, b, _OUTER_TOL)
             k = k + sum(pulse_coupling_integral(p, s.delta_e, a, b, Representation.INTERACTION) for p in active)
         if b in kicks:
             g = kicks[b]

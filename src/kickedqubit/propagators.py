@@ -108,9 +108,10 @@ def nto_opposite_pair(delta_e: float, alpha: float, t1: float, t2: float) -> np.
     return nto_pair_matrix(delta_e, alpha, t2 - t1, t1 + t2)
 
 
-def nto_propagator(s: Schedule, rep: Representation) -> np.ndarray:
-    """Evolution with time ordering removed: :func:`nto_exponential` of the coupling integral over [t0, tf]."""
-    return nto_exponential(coupling_integral(s, s.t0, s.tf, rep), s.delta_e, s.duration(), rep)
+def nto_propagator(s: Schedule, rep: Representation, times=None) -> np.ndarray:
+    """Time ordering removed: :func:`nto_exponential` of the coupling integral to tf, or to each t of ``times``."""
+    t = np.reshape(s.observation_times(times), np.shape(times))
+    return nto_exponential(coupling_integral(s, s.t0, t, rep), s.delta_e, t - s.t0, rep)
 
 
 def nto_exponential(k: np.ndarray, delta_e: float, duration, rep: Representation) -> np.ndarray:

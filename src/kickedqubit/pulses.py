@@ -176,6 +176,13 @@ class Schedule:
     def duration(self) -> float:
         return self.tf - self.t0
 
+    def observation_times(self, times=None) -> list[float]:
+        """``times``, tf when None, as a flat list: refused unless it ascends strictly inside (t0, tf]."""
+        flat = np.ravel(np.asarray(self.tf if times is None else times, dtype=float)).tolist()
+        if not (flat and self.t0 < flat[0] and flat[-1] <= self.tf and np.all(np.diff(flat) > 0.0)):
+            raise ValueError(f"times must ascend strictly inside (t0, tf] = ({self.t0!r}, {self.tf!r}]")
+        return flat
+
 
 def rotation_rate(delta_e: float, rep: Representation) -> float:
     """Rotation rate of the x and y axes in a picture: delta_e in the interaction picture, 0 in the Schrodinger one."""

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 MAX_NODES = 2**17  # nodes in one integrand call: ~1.2 kB each in the Dyson gap integrand, ~160 MB in all
+MAX_DEPTH = 40  # rounds of splitting after the first; at the last every open panel is accepted
 
 # Ascending nodes on [-1, 1], symmetric: Newton on P_24's recurrence in floats, so no numpy code is paged in at import.
 NODES, WEIGHTS = np.zeros(24), np.zeros(24)
@@ -22,14 +23,14 @@ for _i in range(12):
     WEIGHTS[_i] = WEIGHTS[23 - _i] = 2.0 / ((1.0 - _x * _x) * _dp * _dp)
 
 
-def adaptive_gauss_legendre(f, a: float, b: float, tol: float, max_depth: int = 48):
+def adaptive_gauss_legendre(f, a: float, b: float, tol: float):
     """Integrate ``f`` (times -> values stacked on axis 0) over [a, b] to absolute tolerance ``tol`` per entry.
 
     Widths are signed. The first call samples [a, b] and its halves; a panel is accepted as left + right
-    when within ``tol`` (max entry) of its whole, else split, and ``tol`` halves each round. At ``max_depth``
-    every open panel is accepted; FloatingPointError when a call would take more than :data:`MAX_NODES` nodes.
+    when within ``tol`` (max entry) of its whole, else split, and ``tol`` halves each round. After :data:`MAX_DEPTH`
+    rounds every open panel is accepted; FloatingPointError when a call would take more than :data:`MAX_NODES` nodes.
     """
-    lo, hi, whole, result = np.array([a, a, 0.5 * (a + b)]), np.array([b, 0.5 * (a + b), b]), None, 0.0
+    lo, hi, whole, result, depth = np.array([a, a, 0.5 * (a + b)]), np.array([b, 0.5 * (a + b), b]), None, 0.0, MAX_DEPTH
     while lo.size:
         if lo.size * NODES.size > MAX_NODES:
             raise FloatingPointError(f"{lo.size * NODES.size} Gauss-Legendre nodes in one call, above {MAX_NODES}")
@@ -39,11 +40,11 @@ def adaptive_gauss_legendre(f, a: float, b: float, tol: float, max_depth: int = 
         if whole is None:
             whole, panels, lo, hi = panels[:1], panels[1:], lo[1:], hi[1:]
         halves = panels[: len(whole)] + panels[len(whole):]  # left halves of the open panels, then right halves
-        done = (np.max(np.abs(halves - whole), axis=1) <= tol) | (max_depth <= 0)
+        done = (np.max(np.abs(halves - whole), axis=1) <= tol) | (depth <= 0)
         result = result + np.sum(halves[done], axis=0)
         go = np.concatenate((~done, ~done))
         whole, lo, hi, m = panels[go], lo[go], hi[go], 0.5 * (lo[go] + hi[go])
-        lo, hi, tol, max_depth = np.concatenate((lo, m)), np.concatenate((m, hi)), 0.5 * tol, max_depth - 1
+        lo, hi, tol, depth = np.concatenate((lo, m)), np.concatenate((m, hi)), 0.5 * tol, depth - 1
     return result.reshape(values.shape[1:])
 
 

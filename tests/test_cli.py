@@ -235,6 +235,11 @@ def test_exit_codes(tmp_path):
     # 3: precondition violations inside the library
     assert run(["map-classify", "--split-phase", "-1", "--strength-phase", "1"]) == 3
     assert run(["obs-time", "--delta-e", "1", "--t-k", "-5", "--tau", "2", "--tf-grid", "-1 2"]) == 3
+    # 3: a step count past the floats, refused at the step limit before math.ceil meets inf
+    assert run(["evolve", "--delta-e", "1", "--tf", "1e308", "--dt", "1e-300"]) == 3
+    assert run(["obs-time", "--delta-e", "1", "--t-k", "1", "--tau", "0.2", "--tf-grid", "2,1e308"]) == 3
+    # 0: a negative number in exponent form is read as a value when joined to its flag with =
+    assert run(["pert2", "--delta-e=-1e-3", "--tf", "3"]) == 0
     # 5: a pulse too strong for propagate's default step leaves its result non-unitary
     for pulse in ("rect:1000:1:1", "gaussian:2000:5:0.5"):
         assert run(["compare-nto", "--delta-e", "1", "--tf", "10", "--pulses", pulse, "-o", tmp_path / "p.json"]) == 5

@@ -8,6 +8,7 @@ from oracles import truncated_nto_reference
 
 import kickedqubit.cli as cli
 import kickedqubit.diagnostics as diagnostics
+import kickedqubit.ode as ode
 from kickedqubit.diagnostics import (
     MapRegime,
     classify_regime,
@@ -191,7 +192,7 @@ def test_observation_scan_grid_validation(monkeypatch):
         observation_time_scan(1.0, 0.5, -5.0, 2.0, [-1.0, 2.0])
     # A grid longer than the record limit is refused before its marker kicks are made.
     monkeypatch.setattr(diagnostics, "MAX_RECORDS", 3)
-    monkeypatch.setattr(diagnostics, "DeltaKick", None)
+    monkeypatch.setattr(ode, "DeltaKick", None)
     with pytest.raises(ValueError, match="4 observation times exceed the 3 record limit"):
         observation_time_scan(1.0, 0.5, 10.0, 1.0, [20.0, 30.0, 40.0, 50.0])
 
@@ -250,10 +251,12 @@ def test_observation_scan_ordered_column_against_truncated_propagate(tau):
 
 
 def test_observation_scan_runs_one_trajectory(monkeypatch, capsys):
-    # Every route to the (ordered, NTO, NTO) triple is one call of transfer_probabilities, which runs one
-    # evolve: per observation-time scan, per compare-nto and per kick-limit rung.
+    # Every route to the (ordered, NTO, NTO) triple is one call of transfer_probabilities: one propagate, which
+    # runs one evolve, and one nto_propagator per picture, per observation-time scan, per compare-nto and per
+    # kick-limit rung.
     calls = []
-    for module, name in ((diagnostics, "evolve"), (diagnostics, "transfer_probabilities"), (cli, "transfer_probabilities")):
+    for module, name in ((ode, "evolve"), (diagnostics, "propagate"), (diagnostics, "nto_propagator"),
+                         (diagnostics, "transfer_probabilities"), (cli, "transfer_probabilities")):
 
         def counting(*args, name=name, original=getattr(module, name)):
             calls.append(name)
@@ -263,13 +266,14 @@ def test_observation_scan_runs_one_trajectory(monkeypatch, capsys):
     t_k = 150.0
     delta_e = preset_2s2p(9.46).delta_e
     observation_time_scan(delta_e, math.pi / 2, t_k, 9.46, cli_default_grid(delta_e, t_k))
-    assert calls == ["transfer_probabilities", "evolve"]
+    route = ["transfer_probabilities", "propagate", "evolve", "nto_propagator", "nto_propagator"]
+    assert calls == route
     for argv, routes in ((["compare-nto", "--preset", "2s2p"], 1),
                          (["compare-nto", "--delta-e", "1", "--tf", "3", "--pulses", "kick:0.3:1; kick:-0.3:2"], 1),
                          (["kick-limit", "--preset", "2s2p", "--taus", "40 20 10"], 3)):
         calls.clear()
         assert cli.main(argv) == 0
-        assert calls == ["transfer_probabilities", "evolve"] * routes, argv
+        assert calls == route * routes, argv
     capsys.readouterr()
 
 
@@ -315,7 +319,7 @@ def test_observation_scan_reads_rows_by_time(monkeypatch):
     delta_e = preset_2s2p(9.46).delta_e
     grid = cli_default_grid(delta_e, t_k)[::10]
     expected = observation_time_scan(delta_e, math.pi / 2, t_k, 9.46, grid)
-    monkeypatch.setattr(diagnostics, "IntegratorConfig", lambda dt, rep, every: IntegratorConfig(dt, rep, 7))
+    monkeypatch.setattr(ode, "IntegratorConfig", lambda dt, rep, every: IntegratorConfig(dt, rep, 7))
     assert observation_time_scan(delta_e, math.pi / 2, t_k, 9.46, grid) == expected
 
 

@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from kickedqubit.ode import IntegratorConfig, default_step, evolve, propagate
 from kickedqubit.perturbation import TOL_QUAD2, dyson_second_order
-from kickedqubit.propagators import change_representation, kick_sequence
+from kickedqubit.propagators import change_representation, kick_sequence, nto_propagator
 from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule, pulse_support
 from kickedqubit.su2 import SIGMA_Z, PauliAxis, exp_minus_i_generator
 from oracles import coupling_sum
@@ -124,6 +124,36 @@ def test_mixed_identity_holds_and_propagate_warns_nothing(s):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         propagate(s)
+
+
+def observation_grid(s: Schedule) -> np.ndarray:
+    """The kick times and support ends of ``s`` inside (t0, tf], and tf."""
+    ends = [t for p in s.smooth_pulses() for t in pulse_support(p)]
+    return np.array(sorted({t for t in [*(k.t_k for k in s.kicks()), *ends, s.tf] if s.t0 < t <= s.tf}))
+
+
+@settings(max_examples=15, deadline=None)
+@given(mixed_schedules())
+def test_nto_propagator_on_a_grid_is_the_truncated_schedule(s):
+    # Each row is the NTO propagator of the schedule cut at its time, a kick at the cut included.
+    grid = observation_grid(s)
+    for rep in Representation:
+        rows = nto_propagator(s, rep, grid)
+        assert rows.shape == grid.shape + (2, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # truncation clips pulse support by design
+            want = [nto_propagator(Schedule(s.delta_e, s.pulses, s.t0, t), rep) for t in grid]
+        assert np.max(np.abs(rows - want)) <= 1e-15
+
+
+@settings(max_examples=4, deadline=None)
+@given(mixed_schedules())
+def test_propagate_on_a_grid_ends_on_the_value_at_tf(s):
+    # The times cut the RK4 step grid, which moves the last row within the integration error.
+    grid = observation_grid(s)
+    rows = propagate(s, grid)
+    assert rows.shape == grid.shape + (2, 2)
+    assert np.max(np.abs(rows[-1] - propagate(s))) <= 1e-10
 
 
 @settings(max_examples=15, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -17,7 +18,7 @@ from kickedqubit.ode import (
     evolve,
     propagate,
 )
-from kickedqubit.propagators import change_representation, kick_sequence, nto_exponential, single_kick
+from kickedqubit.propagators import change_representation, kick_sequence, nto_exponential, nto_propagator, single_kick
 from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule, coupling_integral
 from kickedqubit.su2 import ID2, PauliAxis, unitarity_defect
 from kickedqubit.units import preset_2s2p, rabi_period
@@ -134,6 +135,16 @@ def test_step_overflow_guard():
     s = Schedule(1.0, (), 0.0, 1.0)
     with pytest.raises(ValueError, match="step limit"):
         evolve(s, IntegratorConfig(1e-10))
+
+
+def test_step_count_past_the_floats_is_refused_at_the_limits():
+    # (tf - t0) / dt overflows to inf, which math.ceil cannot count: the limits refuse it first.
+    s = Schedule(1.0, (), 0.0, 1e308)
+    with pytest.raises(ValueError, match="inf steps exceed the 1000000000 step limit"):
+        evolve(s, IntegratorConfig(1e-300))
+    # In the interaction picture a pulse-free piece takes no RK4 step, but its record rows are counted.
+    with pytest.raises(ValueError, match="inf recorded states exceed the 1000000 record limit"):
+        evolve(s, IntegratorConfig(1e-300, Representation.INTERACTION, 10**6))
 
 
 def test_recording_cap_is_checked_before_stepping(monkeypatch):
@@ -298,6 +309,33 @@ def test_propagate_all_kick_schedule_is_the_kick_product():
     s = Schedule(0.8, kicks, 0.0, 4.0)
     expected = kick_sequence(0.8, [kicks[1], kicks[2], kicks[0]])
     np.testing.assert_array_equal(propagate(s), expected)
+
+
+PROPAGATORS = {
+    "propagate": propagate,
+    "nto-interaction": lambda s, times: nto_propagator(s, Representation.INTERACTION, times),
+    "nto-schrodinger": lambda s, times: nto_propagator(s, Representation.SCHRODINGER, times),
+}
+
+
+@pytest.mark.parametrize("name", PROPAGATORS)
+@pytest.mark.parametrize("times", [[], [0.0, 1.0], [-1.0], [1.0, 3.5], [2.0, 1.0], [1.0, 1.0], [math.nan], [1.0, math.nan]],
+                         ids=["empty", "at-t0", "before-t0", "past-tf", "descending", "repeated", "nan", "then-nan"])
+def test_propagators_refuse_times_outside_the_window_or_out_of_order(name, times):
+    s = Schedule(1.0, (DeltaKick(0.3, 1.0), Gaussian(0.4, 2.0, 0.1)), 0.0, 3.0)
+    with pytest.raises(ValueError, match=re.escape("times must ascend strictly inside (t0, tf] = (0.0, 3.0]")):
+        PROPAGATORS[name](s, times)
+
+
+@pytest.mark.parametrize("name", PROPAGATORS)
+def test_propagators_take_the_shape_of_the_times(name):
+    s = Schedule(1.0, (DeltaKick(0.3, 1.0), Gaussian(0.4, 2.0, 0.1)), 0.0, 3.0)
+    grid = np.array([0.5, 1.0, 2.0, 3.0])
+    rows = PROPAGATORS[name](s, grid)
+    assert rows.shape == (4, 2, 2)
+    assert PROPAGATORS[name](s, 3.0).shape == PROPAGATORS[name](s, None).shape == (2, 2)
+    assert PROPAGATORS[name](s, grid.reshape(2, 2)).shape == (2, 2, 2, 2)
+    np.testing.assert_array_equal(PROPAGATORS[name](s, grid.reshape(2, 2)).reshape(4, 2, 2), rows)
 
 
 def test_propagate_empty_schedule_is_identity():

@@ -21,6 +21,7 @@ from kickedqubit.perturbation import (
     theta_split_weights,
 )
 from kickedqubit.pulses import DeltaKick, Gaussian, Rectangular, Representation, Schedule
+from kickedqubit.quadrature import MAX_DEPTH
 from kickedqubit.su2 import SIGMA_Z, PauliAxis, dagger
 from oracles import recursive_simpson
 
@@ -269,9 +270,9 @@ def test_gauss_panels_agree_with_the_simpson_oracle(pulses, delta_e, t0, duratio
         s = Schedule(delta_e, tuple(pulses), t0, t0 + duration)
     got = dyson_second_order(s)
 
-    def simpson(f, a, b, tol, max_depth):
+    def simpson(f, a, b, tol):
         edges = np.linspace(a, b, ORACLE_PIECES + 1)
-        return sum(recursive_simpson(lambda t: f(np.array([t]))[0], lo, hi, 0.1 * tol / ORACLE_PIECES, max_depth)
+        return sum(recursive_simpson(lambda t: f(np.array([t]))[0], lo, hi, 0.1 * tol / ORACLE_PIECES, MAX_DEPTH)
                    for lo, hi in zip(edges, edges[1:]))
 
     with pytest.MonkeyPatch.context() as patch:

@@ -86,7 +86,7 @@ def test_each_node_follows_its_left_neighbour():
     ],
     ids=["gaussian-cosine", "cusp", "complex", "matrix"],
 )
-def test_levels_match_the_recursive_routine(f, a, b, tol):
+def test_levels_match_the_recursive_routine(f, a, b, tol, monkeypatch):
     # The same accept rule on the same values, round by round against depth
     # first: the same nodes, and the same integral up to the order of summation.
     nodes, recursive_nodes = [], []
@@ -99,21 +99,23 @@ def test_levels_match_the_recursive_routine(f, a, b, tol):
         recursive_nodes.append(t)
         return f(np.array([t]))[0]
 
-    got = adaptive_gauss_legendre(batched, a, b, tol, 30)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 30)
+    got = adaptive_gauss_legendre(batched, a, b, tol)
     want = recursive_gauss_legendre(one_at_a_time, a, b, tol, 30, NODES, WEIGHTS)
     assert sorted(nodes) == sorted(recursive_nodes)
     assert np.max(np.abs(np.asarray(got) - np.asarray(want))) <= 1e-14 * max(1.0, np.max(np.abs(want)))
 
 
-def test_depth_limit_accepts_every_interval_left():
-    # At max_depth 2 three rounds run: [a, b] and its halves, then 2 and 4 open panels split.
+def test_depth_limit_accepts_every_interval_left(monkeypatch):
+    # At MAX_DEPTH 2 three rounds run: [a, b] and its halves, then 2 and 4 open panels split.
     calls = []
 
     def f(t):
         calls.append(t.size)
         return np.abs(np.sin(50.0 * t))
 
-    adaptive_gauss_legendre(f, 0.0, 3.0, 1e-14, 2)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 2)
+    adaptive_gauss_legendre(f, 0.0, 3.0, 1e-14)
     assert calls == [3 * 24, 2 * 2 * 24, 4 * 2 * 24]
 
 
@@ -121,6 +123,7 @@ def test_a_level_beyond_the_interval_limit_raises(monkeypatch):
     # A tolerance nothing meets doubles the open panels every round; the call
     # that would pass the node bound is refused before it is made.
     monkeypatch.setattr(quadrature, "MAX_NODES", 16 * 48)
+    monkeypatch.setattr(quadrature, "MAX_DEPTH", 40)
     sizes = []
 
     def f(t):
@@ -128,7 +131,7 @@ def test_a_level_beyond_the_interval_limit_raises(monkeypatch):
         return np.sign(np.sin(1e3 * t))
 
     with pytest.raises(FloatingPointError, match="1536 Gauss-Legendre nodes in one call, above 768"):
-        adaptive_gauss_legendre(f, 0.0, 1.0, 1e-300, 40)
+        adaptive_gauss_legendre(f, 0.0, 1.0, 1e-300)
     assert sizes == [72, 96, 192, 384, 768]
 
 
