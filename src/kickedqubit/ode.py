@@ -192,7 +192,7 @@ def propagate(s: Schedule, times=None) -> np.ndarray:
     run = evolve(marked, IntegratorConfig(default_step(marked), Representation.INTERACTION, 10**6))
     check_unitary(run.propagators[-1])
     row = {t: i for i, t in enumerate(run.times.tolist())}  # by time: a long run records more rows than the cuts
-    return run.propagators[[row[t] for t in flat]].reshape(np.shape(times) + (2, 2))
+    return run.propagators.take([row[t] for t in flat], axis=0).reshape(np.shape(times) + (2, 2))
 
 
 def check_unitary(u: np.ndarray) -> np.ndarray:
