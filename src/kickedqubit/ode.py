@@ -185,7 +185,7 @@ def propagate(s: Schedule, times=None) -> np.ndarray:
     One interaction-picture :func:`evolve` at :func:`default_step`, cut by a zero-area kick at each time; then
     :func:`check_unitary` on its final U.
     """
-    flat = s.observation_times(times)
+    flat = s.observation_times(times).tolist()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # s has already warned of any support outside its window
         marked = Schedule(s.delta_e, s.pulses + tuple(DeltaKick(0.0, t) for t in flat), s.t0, s.tf)

@@ -110,7 +110,7 @@ def nto_opposite_pair(delta_e: float, alpha: float, t1: float, t2: float) -> np.
 
 def nto_propagator(s: Schedule, rep: Representation, times=None) -> np.ndarray:
     """Time ordering removed: :func:`nto_exponential` of the coupling integral to tf, or to each t of ``times``."""
-    t = np.reshape(s.observation_times(times), np.shape(times))
+    t = s.observation_times(times).reshape(np.shape(times))
     return nto_exponential(coupling_integral(s, s.t0, t, rep), s.delta_e, t - s.t0, rep)
 
 

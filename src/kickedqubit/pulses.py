@@ -176,10 +176,10 @@ class Schedule:
     def duration(self) -> float:
         return self.tf - self.t0
 
-    def observation_times(self, times=None) -> list[float]:
-        """``times``, tf when None, as a flat list: refused unless it ascends strictly inside (t0, tf]."""
-        flat = np.ravel(np.asarray(self.tf if times is None else times, dtype=float)).tolist()
-        if not (flat and self.t0 < flat[0] and flat[-1] <= self.tf and all(a < b for a, b in zip(flat, flat[1:]))):
+    def observation_times(self, times=None) -> np.ndarray:
+        """``times``, tf when None, as a flat float array: refused unless it ascends strictly inside (t0, tf]."""
+        flat = np.asarray(self.tf if times is None else times, dtype=float).ravel()
+        if not (flat.size and self.t0 < flat[0] and flat[-1] <= self.tf and (flat[1:] > flat[:-1]).all()):
             raise ValueError(f"times must ascend strictly inside (t0, tf] = ({self.t0!r}, {self.tf!r}]")
         return flat
 
