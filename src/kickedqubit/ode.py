@@ -14,13 +14,14 @@ which act there as exp(-i G) with G from
 :func:`kickedqubit.propagators.kick_generators`, and at the edges of
 rectangular pulses, so no RK4 step straddles a jump.
 
-:func:`evolve` builds the RK4 step matrices of :data:`CHUNK` steps at once in
-numpy; only their product onto U runs step by step, on Python complex scalars.
+:func:`evolve` builds the RK4 step matrices of :data:`CHUNK` steps at once in numpy. Each, like U, is a quaternion
+[[p, q], [-conj q, conj p]] carried as its pair (p, q): only the pair product onto U runs step by step, in Python.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 
@@ -114,12 +115,13 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     n_steps = sum(n for _, _, n, _ in pieces)
     # Only pieces that step count: an interaction-picture piece no support overlaps carries U unchanged.
     rk4_steps = sum(n for _, _, n, active in pieces if schrodinger or active)
+    n_steps, rk4_steps = (n if n <= sys.float_info.max else math.inf for n in (n_steps, rk4_steps))  # :.4g takes floats
     if rk4_steps > MAX_STEPS:
-        raise ValueError(f"{rk4_steps} steps exceed the {MAX_STEPS} step limit")
+        raise ValueError(f"{rk4_steps:.4g} steps exceed the {MAX_STEPS} step limit")
     every = cfg.record_every
     rows = n_steps if n_steps == math.inf else 1 + n_steps // every + len(pieces)  # t0, each every-th step, each cut
     if rows > MAX_RECORDS:
-        raise ValueError(f"{rows} recorded states exceed the {MAX_RECORDS} record limit")
+        raise ValueError(f"{rows:.4g} recorded states exceed the {MAX_RECORDS} record limit")
 
     h0 = -0.5 * s.delta_e * SIGMA_Z if schrodinger else 0.0
     kick_exp = dict(zip(kicks, exp_minus_i_generator(np.reshape(list(kicks.values()), (-1, 2, 2)))))
@@ -140,8 +142,8 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
             if stepping:
                 nodes = np.append(a + np.arange(c0, c1) * h, b if c1 == n else a + c1 * h)
                 walk = _walk(s.delta_e, active, nodes, h, cfg.representation, h0, u)
-                u = np.reshape(walk[-1], (2, 2))
-            propagators[slot] = np.reshape(walk[first - c0 - 1 :: every][: ks.size], (-1, 2, 2)) if stepping else u
+                u = _matrices(walk[-1:])[0]
+            propagators[slot] = _matrices(walk[first - c0 - 1 :: every][: ks.size]) if stepping else u
             recorded += ks.size
         if b in kicks:
             u = kick_exp[b] @ u
@@ -153,29 +155,33 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     return Trajectory(times[: recorded + 1], propagators[: recorded + 1])
 
 
-def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # 2x2 products; matrices as rows of entries 00, 01, 10, 11
-    return x[[0, 0, 2, 2]] * y[[0, 1, 0, 1]] + x[[1, 1, 3, 3]] * y[[2, 3, 2, 3]]
+def _product(x: np.ndarray, y: np.ndarray) -> np.ndarray:  # quaternion products, each quaternion as its pair (x0, x1)
+    return np.stack((x[0] * y[0] - x[1] * y[1].conj(), x[0] * y[1] + x[1] * y[0].conj()))
+
+
+def _matrices(pairs: list) -> np.ndarray:  # the quaternions [[a, b], [-conj b, conj a]] of pairs (a, b), as (n, 2, 2)
+    a, b = np.array(pairs, dtype=complex).reshape(-1, 2).T
+    return np.stack((a, b, -b.conj(), a.conj()), axis=-1).reshape(-1, 2, 2)
 
 
 def _walk(delta_e: float, pulses: list, nodes: np.ndarray, h: float, rep: Representation, h0, u) -> list:
-    """U after each step between consecutive ``nodes`` from ``u``, as 4-tuples (u00, u01, u10, u11) of Python complex.
+    """U after each step between consecutive ``nodes`` from ``u``, as first rows (u00, u01) of Python complex.
 
     With A, B, C = -iH at t, t + h/2, t + h, all the step matrices R = I + h/6 (A + 4B + C + h(BA + B^2 + CB)
-    + h^2/2 (B^2 A + C B^2) + h^3/4 C B^2 A) are built at once, as the RK4 stages taken from U = I.
+    + h^2/2 (B^2 A + C B^2) + h^3/4 C B^2 A) are built at once, as the RK4 stages from U = I, each kept, like U, as its
+    first row (p, q): H is traceless Hermitian and IEEE arithmetic commutes with conj, so row 2 is exactly (-q*, p*).
     """
     m = nodes.size - 1
-    g = -1j * (coupling_samples(delta_e, pulses, np.concatenate((nodes, nodes[:-1] + 0.5 * h)), rep) + h0)
-    e = g.reshape(-1, 4).T
+    e = -1j * (coupling_samples(delta_e, pulses, np.concatenate((nodes, nodes[:-1] + 0.5 * h)), rep) + h0)[:, 0].T
     a, c, mid = e[:, :m], e[:, 1 : m + 1], e[:, m + 1 :]
     k2 = mid + 0.5 * h * _product(mid, a)
     k3 = mid + 0.5 * h * _product(mid, k2)
     r = (h / 6.0) * (a + 2.0 * (k2 + k3) + c + h * _product(c, k3))
-    r[[0, 3]] += 1.0
-    u00, u01, u10, u11 = u.ravel().tolist()
-    walk = []
-    for r00, r01, r10, r11 in zip(*r.tolist()):
-        u00, u01, u10, u11 = r00 * u00 + r01 * u10, r00 * u01 + r01 * u11, r10 * u00 + r11 * u10, r10 * u01 + r11 * u11
-        walk.append((u00, u01, u10, u11))
+    r[0] += 1.0
+    (x, y), walk = u[0].tolist(), []
+    for p, q in zip(*r.tolist()):
+        x, y = p * x - q * y.conjugate(), p * y + q * x.conjugate()
+        walk.append((x, y))
     return walk
 
 
@@ -212,8 +218,7 @@ def convergence_check(s: Schedule, cfg: IntegratorConfig) -> tuple[float, float,
     the ratio is flagged as NaN rather than reported as noise.
     """
     p2 = [evolve(s, replace(cfg, dt=cfg.dt / divisor)).probabilities()[-1, 1] for divisor in (1, 2, 4)]
-    coarse = p2[0] - p2[1]
-    fine = p2[1] - p2[2]
+    coarse, fine = p2[0] - p2[1], p2[1] - p2[2]
     floor = 1e-13
     if abs(fine) < floor or abs(coarse) < floor:
         return p2[0], p2[1], math.nan
