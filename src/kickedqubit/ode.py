@@ -109,13 +109,13 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
     bounds = [s.t0, *sorted(t for t in edges | kicks.keys() if s.t0 < t < s.tf), s.tf]
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
-    # (start, end, steps, the smooth pulses whose support overlaps the piece); steps past the floats stay inf
+    # (start, end, steps, the smooth pulses whose support overlaps the piece); counts past the floats, or sums, are inf
     pieces = [(a, b, max(1, math.ceil(q) if q < math.inf else q), [p for p, lo, hi in supports if lo < b and hi > a])
               for a, b, q in ((a, b, (b - a) / cfg.dt) for a, b in zip(bounds, bounds[1:]))]
     n_steps = sum(n for _, _, n, _ in pieces)
     # Only pieces that step count: an interaction-picture piece no support overlaps carries U unchanged.
     rk4_steps = sum(n for _, _, n, active in pieces if schrodinger or active)
-    n_steps, rk4_steps = (n if n <= sys.float_info.max else math.inf for n in (n_steps, rk4_steps))  # :.4g takes floats
+    n_steps, rk4_steps = (n if n <= sys.float_info.max else math.inf for n in (n_steps, rk4_steps))
     if rk4_steps > MAX_STEPS:
         raise ValueError(f"{rk4_steps:.4g} steps exceed the {MAX_STEPS} step limit")
     every = cfg.record_every

@@ -250,6 +250,14 @@ def test_exit_codes(tmp_path):
     )
 
 
+def test_limit_refusal_prints_a_readable_count(capsys):
+    # 1e+305 steps are refused at the step limit (exit 3) in one short line, not as a 306-digit integer.
+    assert run(["evolve", "--delta-e", "1", "--tf", "1e300", "--dt", "1e-5"]) == 3
+    err = capsys.readouterr().err
+    assert "1e+305 steps exceed the 1000000000 step limit" in err
+    assert err.count("\n") == 1 and len(err) < 120
+
+
 @pytest.mark.parametrize(
     "pulse, exact", [("rect:200:1:1", 0.7621113773016374), ("gaussian:60:5:0.5", None)], ids=["rect", "gaussian"]
 )

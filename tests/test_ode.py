@@ -145,6 +145,12 @@ def test_step_count_past_the_floats_is_refused_at_the_limits():
     # In the interaction picture a pulse-free piece takes no RK4 step, but its record rows are counted.
     with pytest.raises(ValueError, match="inf recorded states exceed the 1000000 record limit"):
         evolve(s, IntegratorConfig(1e-300, Representation.INTERACTION, 10**6))
+    # Two pieces of 1.7e308 steps each: their exact sum is past the floats, and reads inf too.
+    split = Schedule(1e-3, (DeltaKick(0.1, 0.0),), -1.7e308, 1.7e308)
+    with pytest.raises(ValueError, match="inf steps exceed the 1000000000 step limit"):
+        evolve(split, IntegratorConfig(1.0))
+    with pytest.raises(ValueError, match="inf recorded states exceed the 1000000 record limit"):
+        evolve(split, IntegratorConfig(1.0, Representation.INTERACTION))
 
 
 def test_recording_cap_is_checked_before_stepping(monkeypatch):
