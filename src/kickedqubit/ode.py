@@ -218,7 +218,8 @@ def convergence_check(s: Schedule, cfg: IntegratorConfig) -> tuple[float, float,
     the ratio is flagged as NaN rather than reported as noise.
     """
     p2 = [evolve(s, replace(cfg, dt=cfg.dt / divisor)).probabilities()[-1, 1] for divisor in (1, 2, 4)]
-    coarse, fine = p2[0] - p2[1], p2[1] - p2[2]
+    coarse = p2[0] - p2[1]
+    fine = p2[1] - p2[2]
     floor = 1e-13
     if abs(fine) < floor or abs(coarse) < floor:
         return p2[0], p2[1], math.nan
