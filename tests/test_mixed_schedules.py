@@ -105,13 +105,10 @@ def test_propagate_narrow_gaussians_converge_to_kicks(s):
         assert np.max(np.abs(propagate(widened(s, tau)) - kicked)) <= smearing_bound(s) * tau
 
 
-X, Y = PauliAxis.X, PauliAxis.Y
-
-
 @settings(max_examples=4, deadline=None)
 @given(mixed_schedules())
-@example(Schedule(2.0, (Rectangular(-0.5, 1.0, 0.375, X), DeltaKick(0.3359375, 1.28125, X),
-                        Gaussian(-0.21875, 1.5625, 0.125, Y)), 0.0, TF))
+@example(Schedule(2.0, (Rectangular(-0.5, 1.0, 0.375, PauliAxis.X), DeltaKick(0.3359375, 1.28125, PauliAxis.X),
+                        Gaussian(-0.21875, 1.5625, 0.125, PauliAxis.Y)), 0.0, TF))
 def test_mixed_second_order_against_propagate(s):
     # The truncated series misses U by O(alpha^3): halving every area cuts the
     # residual about 8x once the fourth-order term is negligible. At the drawn
