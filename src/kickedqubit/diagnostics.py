@@ -189,17 +189,9 @@ def observation_time_scan(
     picture as the average field shrinks against the splitting, but settles
     to a constant in the interaction picture.
     """
-    if len(tf_grid) > MAX_RECORDS:  # each time is a marker kick and a recorded row of one evolve
-        raise ValueError(f"{len(tf_grid)} observation times exceed the {MAX_RECORDS} record limit")
     tf_grid = [float(t) for t in tf_grid]
-    if any(b <= a for a, b in zip(tf_grid, tf_grid[1:])):
-        raise ValueError("observation-time grid must be strictly ascending")
     if any(t <= t_k for t in tf_grid):
         raise ValueError("observation times must lie beyond the pulse center t_k")
-    if any(t <= 0.0 for t in tf_grid):
-        raise ValueError("observation times must lie after t0 = 0")
-    if not all(map(math.isfinite, tf_grid)):
-        raise ValueError("observation times must be finite")
     if not tf_grid:
         return []
 

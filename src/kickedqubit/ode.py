@@ -12,7 +12,7 @@ bit-reproducible; convergence is checked by step halving.
 :func:`evolve` cuts the window where V is not smooth: at the delta kicks,
 which act there as exp(-i G) with G from
 :func:`kickedqubit.propagators.kick_generators`, and at the edges of
-rectangular pulses, so no RK4 step straddles a jump.
+rectangular pulses, so no RK4 step straddles a jump, and at the times it is given to record.
 
 :func:`evolve` builds the RK4 step matrices of :data:`CHUNK` steps at once in numpy. Each, like U, is a quaternion
 [[p, q], [-conj q, conj p]] carried as its pair (p, q): only the pair product onto U runs step by step, in Python.
@@ -28,8 +28,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .propagators import kick_generators
-from .pulses import (DeltaKick, Rectangular, Representation, Schedule, coupling_samples, pulse_center,
-                     pulse_support, rotation_rate, value_at)
+from .pulses import (Rectangular, Representation, Schedule, coupling_samples, pulse_center, pulse_support,
+                     rotation_rate, value_at)
 from .su2 import ID2, SIGMA_Z, exp_minus_i_generator, unitarity_defect
 from .units import rabi_period
 
@@ -83,11 +83,12 @@ def default_step(s: Schedule) -> float:
     return dt if math.isfinite(dt) else s.duration() / 400.0
 
 
-def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
+def evolve(s: Schedule, cfg: IntegratorConfig, cuts=()) -> Trajectory:
     """RK4 propagator U(t, t0) from t0 to tf, recorded every ``cfg.record_every`` steps and at each cut.
 
-    The window is cut at the times of :meth:`Schedule.kicks` and at the
-    rectangular-pulse edges inside it. Each piece takes ceil(length / dt)
+    The window is cut at the times of :meth:`Schedule.kicks`, at the
+    rectangular-pulse edges and at the times ``cuts`` inside it; cuts outside
+    (t0, tf) are ignored, like kicks outside the window. Each piece takes ceil(length / dt)
     equal steps, in chunks of :data:`CHUNK` whose nodes and midpoints are
     sampled at once, ends on its cut and samples only the pulses whose
     support overlaps it. The kicks at a cut, on any axis, act as exp(-i G)
@@ -107,7 +108,7 @@ def evolve(s: Schedule, cfg: IntegratorConfig) -> Trajectory:
     schrodinger = cfg.representation is Representation.SCHRODINGER
     kicks = kick_generators(rotation_rate(s.delta_e, cfg.representation), s.kicks())
     edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
-    bounds = [s.t0, *sorted(t for t in edges | kicks.keys() if s.t0 < t < s.tf), s.tf]
+    bounds = [s.t0, *sorted(t for t in edges | kicks.keys() | {*cuts} if s.t0 < t < s.tf), s.tf]
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
     # (start, end, steps, the smooth pulses whose support overlaps the piece); counts past the floats, or sums, are inf
     pieces = [(a, b, max(1, math.ceil(q) if q < math.inf else q), [p for p, lo, hi in supports if lo < b and hi > a])
@@ -188,14 +189,13 @@ def _walk(delta_e: float, pulses: list, nodes: np.ndarray, h: float, rep: Repres
 def propagate(s: Schedule, times=None) -> np.ndarray:
     """Time-ordered rotating-frame U(t, t0) at each of :meth:`Schedule.observation_times`, in the shape of ``times``.
 
-    One interaction-picture :func:`evolve` at :func:`default_step`, cut by a zero-area kick at each time; then
-    :func:`check_unitary` on its final U.
+    One interaction-picture :func:`evolve` at :func:`default_step`, cut at each time; then :func:`check_unitary`
+    on its final U. More times than :data:`MAX_RECORDS` are refused before the run.
     """
     flat = s.observation_times(times).tolist()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # s has already warned of any support outside its window
-        marked = Schedule(s.delta_e, s.pulses + tuple(DeltaKick(0.0, t) for t in flat), s.t0, s.tf)
-    run = evolve(marked, IntegratorConfig(default_step(marked), Representation.INTERACTION, 10**6))
+    if len(flat) > MAX_RECORDS:  # each time is a cut and a recorded row of the one evolve
+        raise ValueError(f"{len(flat)} observation times exceed the {MAX_RECORDS} record limit")
+    run = evolve(s, IntegratorConfig(default_step(s), Representation.INTERACTION, 10**6), flat)
     check_unitary(run.propagators[-1])
     row = {t: i for i, t in enumerate(run.times.tolist())}  # by time: a long run records more rows than the cuts
     return run.propagators.take([row[t] for t in flat], axis=0).reshape(np.shape(times) + (2, 2))

@@ -235,6 +235,9 @@ def test_exit_codes(tmp_path):
     # 3: precondition violations inside the library
     assert run(["map-classify", "--split-phase", "-1", "--strength-phase", "1"]) == 3
     assert run(["obs-time", "--delta-e", "1", "--t-k", "-5", "--tau", "2", "--tf-grid", "-1 2"]) == 3
+    # 3: observation times out of order (Schedule.observation_times), and a non-finite last one (Schedule's tf)
+    for grid in ("7,6", "6,nan", "6,inf"):
+        assert run(["obs-time", "--delta-e", "1", "--t-k", "5", "--tau", "0.5", "--tf-grid", grid]) == 3
     # 3: a step count past the floats, refused at the step limit before math.ceil meets inf
     assert run(["evolve", "--delta-e", "1", "--tf", "1e308", "--dt", "1e-300"]) == 3
     assert run(["obs-time", "--delta-e", "1", "--t-k", "1", "--tau", "0.2", "--tf-grid", "2,1e308"]) == 3

@@ -184,15 +184,17 @@ def test_interaction_nto_independent_of_window():
 
 
 def test_observation_scan_grid_validation(monkeypatch):
-    with pytest.raises(ValueError, match="ascending"):
+    # Times out of order, or before t0 = 0, are refused by Schedule.observation_times.
+    with pytest.raises(ValueError, match="ascend strictly"):
         observation_time_scan(1.0, 0.5, 10.0, 1.0, [30.0, 20.0])
     with pytest.raises(ValueError, match="beyond"):
         observation_time_scan(1.0, 0.5, 10.0, 1.0, [5.0, 20.0])
-    with pytest.raises(ValueError, match="after t0"):
+    with pytest.raises(ValueError, match="ascend strictly"):
         observation_time_scan(1.0, 0.5, -5.0, 2.0, [-1.0, 2.0])
-    # A grid longer than the record limit is refused before its marker kicks are made.
-    monkeypatch.setattr(diagnostics, "MAX_RECORDS", 3)
-    monkeypatch.setattr(ode, "DeltaKick", None)
+    assert observation_time_scan(1.0, 0.5, 10.0, 1.0, []) == []
+    # A grid longer than the record limit is refused before the run.
+    monkeypatch.setattr(ode, "MAX_RECORDS", 3)
+    monkeypatch.setattr(ode, "evolve", lambda *args: pytest.fail("evolve ran"))
     with pytest.raises(ValueError, match="4 observation times exceed the 3 record limit"):
         observation_time_scan(1.0, 0.5, 10.0, 1.0, [20.0, 30.0, 40.0, 50.0])
 

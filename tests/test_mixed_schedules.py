@@ -245,6 +245,20 @@ def test_evolve_rows_are_quaternions(s, every):
             assert np.max(np.abs(u[:, 1, 0] + u[:, 0, 1].conj())) <= tol
 
 
+@settings(max_examples=20, deadline=None)
+@given(mixed_schedules(), st.integers(1, 40), st.lists(st.floats(-0.5, TF + 0.5), max_size=4), st.booleans())
+def test_cuts_are_zero_area_kicks(s, every, drawn, ends):
+    # A cut records U where a kick of zero area would act as the identity: the same pieces, steps and rows.
+    # Cuts outside (t0, tf) are ignored; a zero-area kick at t0 or tf still acts there, as exp(0).
+    cuts = drawn + ([t for p in s.smooth_pulses() for t in pulse_support(p)] + [s.t0, s.tf] if ends else [])
+    marked = Schedule(s.delta_e, s.pulses + tuple(DeltaKick(0.0, t) for t in cuts if s.t0 <= t <= s.tf), s.t0, s.tf)
+    for rep in Representation:
+        cfg = IntegratorConfig(default_step(s), rep, every)
+        cut, kicked = evolve(s, cfg, cuts), evolve(marked, cfg)
+        assert np.array_equal(cut.times, kicked.times)
+        assert np.array_equal(cut.propagators, kicked.propagators)  # -0 and +0 count as equal
+
+
 def exponential_midpoint(s: Schedule, n: int) -> np.ndarray:
     """Magnus-2 interaction-picture propagator, an oracle independent of RK4.
 
