@@ -5,8 +5,8 @@ axis in which kicks are events. A mixed schedule is checked against the same
 schedule with every kick widened into a narrow Gaussian, which has no events,
 the propagator against the truncated Dyson series and against a second-order
 Magnus (exponential midpoint) product, the Schrodinger-picture trajectory
-against the interaction-picture one, and the batched ``evolve`` against RK4
-taken one step at a time.
+against the interaction-picture one, the batched ``evolve`` against RK4
+taken one step at a time, and its cuts against kicks of zero area.
 """
 
 import dataclasses
