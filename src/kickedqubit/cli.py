@@ -29,6 +29,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -365,7 +366,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    given = vars(parser.parse_args(argv))
+    words = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(words))):  # argparse reads -1e-3 as a flag: join such a word to its --flag with =
+        if words[i - 1].startswith("--") and "=" not in words[i - 1] and re.match(r"-\.?\d", words[i]):
+            words[i - 1 : i + 1] = [f"{words[i - 1]}={words[i]}"]
+    given = vars(parser.parse_args(words))
     command, config = given["command"], given.get("config")
     handler, echoed, other = COMMANDS[command]
     # One list per command, echoed + other, decides both its flags and its config keys.

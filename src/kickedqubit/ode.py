@@ -9,10 +9,9 @@ or in the interaction picture, i da/dt = V_I(t) a, with V_I the rotated
 coupling. The step is fixed (no adaptivity) so repeated runs are
 bit-reproducible; convergence is checked by step halving.
 
-:func:`evolve` cuts the window where V is not smooth: at the delta kicks,
-which act there as exp(-i G) with G from
-:func:`kickedqubit.propagators.kick_generators`, and at the edges of
-rectangular pulses, so no RK4 step straddles a jump, and at the times it is given to record.
+:func:`evolve` cuts the window where V is not smooth: at the delta kicks, which act there as exp(-i G) with G from
+:func:`kickedqubit.propagators.kick_generators`, and at the edges of rectangular pulses, so no RK4 step straddles a
+jump, and at the times it is given to record. In the interaction picture no step is taken where no pulse acts.
 
 :func:`evolve` builds the RK4 step matrices of :data:`CHUNK` steps at once in numpy. Each, like U, is a quaternion
 [[p, q], [-conj q, conj p]] carried as its pair (p, q): only the pair product onto U runs step by step, in Python.
@@ -84,17 +83,15 @@ def default_step(s: Schedule) -> float:
 
 
 def evolve(s: Schedule, cfg: IntegratorConfig, cuts=()) -> Trajectory:
-    """RK4 propagator U(t, t0) from t0 to tf, recorded every ``cfg.record_every`` steps and at each cut.
+    """RK4 propagator U(t, t0) from t0 to tf, recorded every ``cfg.record_every``-th RK4 step and at each cut.
 
-    The window is cut at the times of :meth:`Schedule.kicks`, at the
-    rectangular-pulse edges and at the times ``cuts`` inside it; cuts outside
-    (t0, tf) are ignored, like kicks outside the window. Each piece takes ceil(length / dt)
-    equal steps, in chunks of :data:`CHUNK` whose nodes and midpoints are
-    sampled at once, ends on its cut and samples only the pulses whose
-    support overlaps it. The kicks at a cut, on any axis, act as exp(-i G)
-    with G from :func:`kick_generators` (unrotated in the Schrodinger
-    picture) before U is recorded there. In the interaction picture U is
-    carried unchanged across a piece no support overlaps.
+    The window is cut at the times of :meth:`Schedule.kicks`, at the rectangular-pulse edges and at the times
+    ``cuts`` inside it; cuts outside (t0, tf) are ignored, like kicks outside the window. Each piece takes
+    ceil(length / dt) equal steps, in chunks of :data:`CHUNK` whose nodes and midpoints are sampled at once, ends on
+    its cut and samples only the pulses whose support overlaps it; in the interaction picture a piece that no
+    support overlaps takes none, and U is carried across it unchanged. The kicks at a cut, on any axis, act as
+    exp(-i G) with G from :func:`kick_generators` (unrotated in the Schrodinger picture) before U is recorded there.
+    Only the steps taken count against the step and record limits.
 
     Both basis columns advance together as a 2x2 matrix; column j of U is
     the state that starts in level j + 1. U is never renormalized: its
@@ -110,17 +107,16 @@ def evolve(s: Schedule, cfg: IntegratorConfig, cuts=()) -> Trajectory:
     edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
     bounds = [s.t0, *sorted(t for t in edges | kicks.keys() | {*cuts} if s.t0 < t < s.tf), s.tf]
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
-    # (start, end, steps, the smooth pulses whose support overlaps the piece); counts past the floats, or sums, are inf
-    pieces = [(a, b, max(1, math.ceil(q) if q < math.inf else q), [p for p, lo, hi in supports if lo < b and hi > a])
-              for a, b, q in ((a, b, (b - a) / cfg.dt) for a, b in zip(bounds, bounds[1:]))]
+    # (start, end, steps, the smooth pulses overlapping it): no step where U is constant; counts past the floats are inf
+    pieces = [(a, b, max(1, math.ceil(q) if q < math.inf else q) if schrodinger or active else 0, active)
+              for a, b, q, active in ((a, b, (b - a) / cfg.dt, [p for p, lo, hi in supports if lo < b and hi > a])
+                                      for a, b in zip(bounds, bounds[1:]))]
     n_steps = sum(n for _, _, n, _ in pieces)
-    # Only pieces that step count: an interaction-picture piece no support overlaps carries U unchanged.
-    rk4_steps = sum(n for _, _, n, active in pieces if schrodinger or active)
-    n_steps, rk4_steps = (n if n <= sys.float_info.max else math.inf for n in (n_steps, rk4_steps))
-    if rk4_steps > MAX_STEPS:
-        raise ValueError(f"{rk4_steps:.4g} steps exceed the {MAX_STEPS} step limit")
+    n_steps = n_steps if n_steps <= sys.float_info.max else math.inf
+    if n_steps > MAX_STEPS:
+        raise ValueError(f"{n_steps:.4g} steps exceed the {MAX_STEPS} step limit")
     every = cfg.record_every
-    rows = n_steps if n_steps == math.inf else 1 + n_steps // every + len(pieces)  # t0, each every-th step, each cut
+    rows = 1 + n_steps // every + len(pieces)  # t0, each every-th step, each cut
     if rows > MAX_RECORDS:
         raise ValueError(f"{rows:.4g} recorded states exceed the {MAX_RECORDS} record limit")
 
@@ -131,20 +127,16 @@ def evolve(s: Schedule, cfg: IntegratorConfig, cuts=()) -> Trajectory:
     times[0], propagators[0] = s.t0, u
     recorded = done = 0
     for a, b, n, active in pieces:
-        h = (b - a) / n
-        stepping = schrodinger or bool(active)
-        span = CHUNK if stepping else CHUNK * every  # a piece with constant U records up to CHUNK nodes a chunk
-        for c0 in range(0, n, span):
-            c1 = min(n, c0 + span)
+        for c0 in range(0, n, CHUNK):
+            h, c1 = (b - a) / n, min(n, c0 + CHUNK)
             first = c0 + every - (done + c0) % every
             ks = np.arange(first, min(c1 + 1, n), every)  # the steps recorded here; the cut comes after
             slot = slice(recorded + 1, recorded + 1 + ks.size)
             times[slot] = a + ks * h
-            if stepping:
-                nodes = np.append(a + np.arange(c0, c1) * h, b if c1 == n else a + c1 * h)
-                walk = _walk(s.delta_e, active, nodes, h, cfg.representation, h0, u)
-                u = _matrices(walk[-1:])[0]
-            propagators[slot] = _matrices(walk[first - c0 - 1 :: every][: ks.size]) if stepping else u
+            nodes = np.append(a + np.arange(c0, c1) * h, b if c1 == n else a + c1 * h)
+            walk = _walk(s.delta_e, active, nodes, h, cfg.representation, h0, u)
+            u = _matrices(walk[-1:])[0]
+            propagators[slot] = _matrices(walk[first - c0 - 1 :: every][: ks.size])
             recorded += ks.size
         if b in kicks:
             u = kick_exp[b] @ u

@@ -106,6 +106,18 @@ def test_compare_nto_long_kick_only_window_takes_no_rk4_step(tmp_path):
     assert data["p2_ordered"] == data["p2_nto_interaction"] == pytest.approx(math.sin(0.3) ** 2, abs=1e-12)
 
 
+@pytest.mark.parametrize("tf", ["1e11", "1e300"])
+def test_compare_nto_kick_pair_answers_over_any_window(capsys, tf):
+    # The window past the kicks is crossed in one move, so its length changes nothing: these exited 3 at the
+    # record limit while taking no RK4 step.
+    argv = ["compare-nto", "--delta-e", "1", "--pulses", "kick:0.3:1; kick:-0.3:2"]
+    assert run([*argv, "--tf", "3"]) == 0
+    short = json.loads(capsys.readouterr().out)["p2_ordered"]
+    assert run([*argv, "--tf", tf]) == 0
+    assert json.loads(capsys.readouterr().out)["p2_ordered"] == short
+    assert short == pytest.approx((math.sin(0.6) * math.sin(0.5)) ** 2, abs=1e-12)
+
+
 def test_compare_nto_kick_outside_the_window_has_no_effect(tmp_path):
     out = tmp_path / "cmp.json"
     assert run(["compare-nto", "--delta-e", "1", "--tf", "1", "--pulses", "kick:0.3:5", "-o", out]) == 0
@@ -251,6 +263,33 @@ def test_exit_codes(tmp_path):
         run(["map-classify", "--split-phase", "1", "--strength-phase", "1", "-o", tmp_path / "no" / "dir.json"])
         == 4
     )
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [("pert2 --delta-e -1e-3 --tf 3", "pert2 --delta-e=-1e-3 --tf 3"),
+     ("evolve --delta-e 1 --t0 -1e-2 --tf 1", "evolve --delta-e 1 --t0=-1e-2 --tf 1")],
+    ids=["pert2", "evolve"],
+)
+def test_negative_number_in_exponent_form_is_a_value(capsys, spaced, joined):
+    # argparse alone reads -1e-3 as a flag and exits 2 with "expected one argument".
+    assert run(joined.split()) == 0
+    want = capsys.readouterr().out
+    assert run(spaced.split()) == 0
+    assert capsys.readouterr().out == want != ""
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [(["sweep-surface", "--tau", "-1"], "sweep-surface takes no --tau"),
+     (["pert2", "--tf", "3", "--delta-e"], "--delta-e: expected one argument")],
+    ids=["foreign-flag", "no-value"],
+)
+def test_joined_negative_number_keeps_usage_errors(capsys, argv, named):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_limit_refusal_prints_a_readable_count(capsys):

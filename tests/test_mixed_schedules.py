@@ -184,7 +184,8 @@ def per_step_rk4(s: Schedule, cfg: IntegratorConfig) -> tuple[np.ndarray, np.nda
     """The recorded times and propagators of evolve, taken one RK4 step at a time.
 
     The same cuts, steps, pointwise samples and records as evolve, with each
-    stage applied to U by a 2x2 matrix product.
+    stage applied to U by a 2x2 matrix product. An interaction-picture piece
+    that no smooth support overlaps takes no step: its kicks act and its end is recorded.
     """
     bounds, kicks = cuts(s)
     schrodinger = cfg.representation is Representation.SCHRODINGER
@@ -194,25 +195,25 @@ def per_step_rk4(s: Schedule, cfg: IntegratorConfig) -> tuple[np.ndarray, np.nda
     times, propagators = [s.t0], [u]
     done = 0
     for a, b in zip(bounds, bounds[1:]):
-        n = max(1, math.ceil((b - a) / cfg.dt))
-        h = (b - a) / n
         active = [p for p in s.smooth_pulses() if pulse_support(p)[0] < b and pulse_support(p)[1] > a]
+        n = max(1, math.ceil((b - a) / cfg.dt)) if schrodinger or active else 0
+        h = (b - a) / max(n, 1)
         t = a
         for k in range(1, n + 1):
             end = b if k == n else a + k * h
-            if schrodinger or active:
-                g0, mid, g1 = (coupling_sum(s.delta_e, active, x, cfg.representation) + h0 for x in (t, t + 0.5 * h, end))
-                k1 = -1j * (g0 @ u)
-                k2 = -1j * (mid @ (u + 0.5 * h * k1))
-                k3 = -1j * (mid @ (u + 0.5 * h * k2))
-                k4 = -1j * (g1 @ (u + h * k3))
-                u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                t = end
-            if k == n:
-                u = kick_sequence(frame, kicks.get(b, ())) @ u
-            if (done + k) % cfg.record_every == 0 or k == n:
+            g0, mid, g1 = (coupling_sum(s.delta_e, active, x, cfg.representation) + h0 for x in (t, t + 0.5 * h, end))
+            k1 = -1j * (g0 @ u)
+            k2 = -1j * (mid @ (u + 0.5 * h * k1))
+            k3 = -1j * (mid @ (u + 0.5 * h * k2))
+            k4 = -1j * (g1 @ (u + h * k3))
+            u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = end
+            if (done + k) % cfg.record_every == 0 and k < n:
                 times.append(end)
                 propagators.append(u)
+        u = kick_sequence(frame, kicks.get(b, ())) @ u
+        times.append(b)
+        propagators.append(u)
         done += n
     return np.array(times), np.array(propagators)
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import piecewise_constant_product, truncated_nto_reference
 
+from kickedqubit import ode
 from kickedqubit.diagnostics import observation_time_scan
 from kickedqubit.ode import (
     MAX_DEFECT,
@@ -138,29 +139,31 @@ def test_step_overflow_guard():
 
 
 def test_step_count_past_the_floats_is_refused_at_the_limits():
-    # (tf - t0) / dt overflows to inf, which math.ceil cannot count: the limits refuse it first.
+    # (tf - t0) / dt overflows to inf, which math.ceil cannot count: the step limit refuses it first.
     s = Schedule(1.0, (), 0.0, 1e308)
     with pytest.raises(ValueError, match="inf steps exceed the 1000000000 step limit"):
         evolve(s, IntegratorConfig(1e-300))
-    # In the interaction picture a pulse-free piece takes no RK4 step, but its record rows are counted.
-    with pytest.raises(ValueError, match="inf recorded states exceed the 1000000 record limit"):
-        evolve(s, IntegratorConfig(1e-300, Representation.INTERACTION, 10**6))
     # Two pieces of 1.7e308 steps each: their exact sum is past the floats, and reads inf too.
     split = Schedule(1e-3, (DeltaKick(0.1, 0.0),), -1.7e308, 1.7e308)
     with pytest.raises(ValueError, match="inf steps exceed the 1000000000 step limit"):
         evolve(split, IntegratorConfig(1.0))
-    with pytest.raises(ValueError, match="inf recorded states exceed the 1000000 record limit"):
-        evolve(split, IntegratorConfig(1.0, Representation.INTERACTION))
+    # In the interaction picture a pulse-free piece takes no RK4 step however long it is: both windows answer.
+    free = evolve(s, IntegratorConfig(1e-300, Representation.INTERACTION, 10**6))
+    assert free.times.tolist() == [0.0, 1e308]
+    assert np.array_equal(free.propagators, [ID2, ID2])
+    kicked = evolve(split, IntegratorConfig(1.0, Representation.INTERACTION))
+    assert kicked.times.tolist() == [-1.7e308, 0.0, 1.7e308]
+    assert np.array_equal(kicked.propagators[-1], kick_sequence(split.delta_e, split.kicks()))
 
 
 def test_recording_cap_is_checked_before_stepping(monkeypatch):
-    # The bound is on the rows evolve allocates: t0, every record_every-th step
+    # The bound is on the rows evolve allocates: t0, every record_every-th RK4 step
     # and each cut. 100 steps take 102 rows at record_every 1 and 12 at 10.
     monkeypatch.setattr("kickedqubit.ode.MAX_RECORDS", 12)
     s = Schedule(1.0, (), 0.0, 1.0)
     with pytest.raises(ValueError, match="102 recorded states"):
-        evolve(s, IntegratorConfig(0.01, Representation.INTERACTION))
-    assert len(evolve(s, IntegratorConfig(0.01, Representation.INTERACTION, 10)).times) == 11
+        evolve(s, IntegratorConfig(0.01))
+    assert len(evolve(s, IntegratorConfig(0.01, record_every=10)).times) == 11
     # Cuts count too: 98 zero-area kicks cut the window into 99 pieces, so 100 rows
     # however few steps are recorded.
     kicked = Schedule(1.0, tuple(DeltaKick(0.0, (i + 1) / 99) for i in range(98)), 0.0, 1.0)
@@ -180,7 +183,8 @@ def traced_evolve(s, cfg):
 def test_recording_peaks_near_the_bytes_of_its_arrays():
     # A float64 time and a complex 2x2 U are 72 bytes a record, written into
     # preallocated arrays; the stepping workspace is the same at both lengths.
-    s = Schedule(1.0, (), 0.0, 1.0)
+    # The pulse's support covers the window, so both pictures step.
+    s = Schedule(1.0, (Rectangular(0.1, 0.0, 1.0),), 0.0, 1.0)
     for rep in Representation:
         (short, low), (long, high) = (traced_evolve(s, IntegratorConfig(dt, rep)) for dt in (5e-4, 5e-5))
         assert (len(short.times), len(long.times)) == (2001, 20001)
@@ -257,11 +261,35 @@ def test_ordering_effect_vanishes_with_splitting():
 
 def test_trajectory_recording_decimation():
     s = Schedule(1.0, (), 0.0, 1.0)
-    cfg = IntegratorConfig(0.01, Representation.INTERACTION, record_every=10)
-    traj = evolve(s, cfg)
+    traj = evolve(s, IntegratorConfig(0.01, record_every=10))
     assert traj.propagators.shape == (len(traj.times), 2, 2)
     assert traj.times[0] == 0.0 and traj.times[-1] == pytest.approx(1.0)
     assert len(traj.times) == 11
+    # In the interaction picture nothing drives the window: no step is taken, and only its ends are recorded.
+    free = evolve(s, IntegratorConfig(0.01, Representation.INTERACTION, record_every=10))
+    assert free.times.tolist() == [0.0, 1.0]
+    assert np.array_equal(free.propagators, [ID2, ID2])
+
+
+def test_interaction_picture_records_only_the_driven_stretch():
+    # Steps of 0.01 inside the pulse [2, 5], every 7th recorded; the stretches around it record their ends only.
+    s = Schedule(1.0, (Rectangular(1.0, 2.0, 3.0),), 0.0, 10.0)
+    times = evolve(s, IntegratorConfig(0.01, Representation.INTERACTION, 7)).times
+    assert len(times) == 46
+    assert times[[0, 1, -2, -1]].tolist() == [0.0, 2.0, 5.0, 10.0]
+    assert np.allclose(times[2:-2], 2.0 + 0.07 * np.arange(1, 43), rtol=0.0, atol=1e-12)
+    assert len(evolve(s, IntegratorConfig(0.01, Representation.SCHRODINGER, 7)).times) == 146
+
+
+def test_interaction_picture_without_smooth_pulses_takes_no_step(monkeypatch):
+    calls = []
+    walk = ode._walk
+    monkeypatch.setattr(ode, "_walk", lambda *args: calls.append(args) or walk(*args))
+    kicks = Schedule(1.0, (DeltaKick(0.3, 1.0), DeltaKick(-0.3, 2.0)), 0.0, 1e11)
+    run = evolve(kicks, IntegratorConfig(default_step(kicks), Representation.INTERACTION))
+    assert run.times.tolist() == [0.0, 1.0, 2.0, 1e11] and calls == []
+    evolve(Schedule(1.0, kicks.pulses, 0.0, 3.0), IntegratorConfig(0.01))  # the Schrodinger picture steps
+    assert calls
 
 
 @pytest.mark.parametrize("rep", list(Representation))
