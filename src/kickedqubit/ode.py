@@ -107,11 +107,12 @@ def evolve(s: Schedule, cfg: IntegratorConfig, cuts=()) -> Trajectory:
     edges = {t for p in s.pulses if isinstance(p, Rectangular) for t in pulse_support(p)}
     bounds = [s.t0, *sorted(t for t in edges | kicks.keys() | {*cuts} if s.t0 < t < s.tf), s.tf]
     supports = [(p, *pulse_support(p)) for p in s.smooth_pulses()]
-    # (start, end, steps, the smooth pulses overlapping it): no step where U is constant; counts past the floats are inf
-    pieces = [(a, b, max(1, math.ceil(q) if q < math.inf else q) if schrodinger or active else 0, active)
-              for a, b, q, active in ((a, b, (b - a) / cfg.dt, [p for p, lo, hi in supports if lo < b and hi > a])
-                                      for a, b in zip(bounds, bounds[1:]))]
-    n_steps = sum(n for _, _, n, _ in pieces)
+    pieces = []  # (start, end, steps taken, step, the smooth pulses overlapping it); counts past the floats are inf
+    for a, b in zip(bounds, bounds[1:]):
+        active, q = [p for p, lo, hi in supports if lo < b and hi > a], (b - a) / cfg.dt
+        n = max(1, math.ceil(q) if q < math.inf else q)
+        pieces.append((a, b, n if schrodinger or active else 0, (b - a) / n, active))  # no step where U is constant
+    n_steps = sum(n for _, _, n, _, _ in pieces)
     n_steps = n_steps if n_steps <= sys.float_info.max else math.inf
     if n_steps > MAX_STEPS:
         raise ValueError(f"{n_steps:.4g} steps exceed the {MAX_STEPS} step limit")
@@ -126,9 +127,9 @@ def evolve(s: Schedule, cfg: IntegratorConfig, cuts=()) -> Trajectory:
     times, propagators = np.empty(rows), np.empty((rows, 2, 2), dtype=complex)
     times[0], propagators[0] = s.t0, u
     recorded = done = 0
-    for a, b, n, active in pieces:
+    for a, b, n, h, active in pieces:
         for c0 in range(0, n, CHUNK):
-            h, c1 = (b - a) / n, min(n, c0 + CHUNK)
+            c1 = min(n, c0 + CHUNK)
             first = c0 + every - (done + c0) % every
             ks = np.arange(first, min(c1 + 1, n), every)  # the steps recorded here; the cut comes after
             slot = slice(recorded + 1, recorded + 1 + ks.size)

@@ -138,6 +138,17 @@ def test_step_overflow_guard():
         evolve(s, IntegratorConfig(1e-10))
 
 
+@pytest.mark.parametrize("rep", list(Representation))
+def test_unstable_run_names_the_step_of_its_last_piece(rep):
+    # RK4 blows up on the pulse in [0, 2.5] (4 steps of 0.625); the message names the step of [2.5, 3], 0.5,
+    # although in the interaction picture no step is taken there.
+    s = Schedule(1.0, (Gaussian(1e300, 1.0, 0.1), DeltaKick(0.1, 2.5)), 0.0, 3.0)
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        with pytest.raises(FloatingPointError, match=r"not finite at h = 0\.5;"):
+            evolve(s, IntegratorConfig(0.7, rep))
+
+
 def test_step_count_past_the_floats_is_refused_at_the_limits():
     # (tf - t0) / dt overflows to inf, which math.ceil cannot count: the step limit refuses it first.
     s = Schedule(1.0, (), 0.0, 1e308)
